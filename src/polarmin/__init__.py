@@ -8,9 +8,11 @@ from .rearrange import (ConvergenceTrace, HalfSpace, PolarizationSchedule,
                         admissible_half_spaces, iterate_polarizations,
                         polarize, polarize_multi, reflect, schwarz,
                         schwarz_multi, symmetry_deficit)
-from .energy import (AssumptionReport, CouplingG, EnergyModel, IntegrandJ,
-                     KernelV, LocalTermF, check_assumptions, eval_E1, eval_E2,
-                     eval_E3, eval_total, nonlocal_quadratic, sample_kernel)
+from .energy import (AssumptionReport, CouplingG, EnergyBreakdown,
+                     EnergyModel, IntegrandJ, KernelV, LocalTermF,
+                     NonlocalOperator, check_assumptions, eval_E1, eval_E2,
+                     eval_E3, eval_total, nonlocal_operator,
+                     nonlocal_potential, nonlocal_quadratic, sample_kernel)
 from .minimize import (ConstraintVector, MinimizeConfig, MinimizeResult,
                        descent_step, dilate, dilation_scan, discrete_gradient,
                        lagrange_residual, minimize, project_constraints,

@@ -8,10 +8,11 @@ numpy arrays (broadcasting) and be pure.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .grid import GridSpec, MultiField, ScalarField, gradient_magnitude, make_grid
 
@@ -95,9 +96,17 @@ class EnergyModel:
 
 @dataclasses.dataclass
 class EnergyBreakdown:
+    """Energy terms of one field.
+
+    potential is V*g, the nonlocal potential behind E3 (None without a
+    nonlocal term); discrete_gradient reuses it.
+    """
+
     E1: float
     E2: float
     E3: float
+    potential: np.ndarray | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     @property
     def total(self) -> float:
@@ -171,73 +180,140 @@ def sample_kernel(V: KernelV, spec: GridSpec) -> ScalarField:
     return ScalarField(padded, vals)
 
 
+# Largest dense kernel matrix method="direct" builds (P^2 float64 entries).
+DENSE_MATRIX_LIMIT_BYTES = 2**30
+
+
+class NonlocalOperator:
+    """The map g -> sum_y V(|x - y|) g(y) on one grid (no volume factor).
+
+    The sampled kernel is stored as the rFFT of its circulant embedding:
+    offset d along an axis sits at index d mod M, with
+    M = next_fast_len(2n - 1) >= 2n - 1, so the cyclic convolution of the
+    zero-padded g equals the free-space sum on the first n points per axis
+    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
+    dense matrix V(|x - y|) of the direct oracle is built on first use.
+    """
+
+    def __init__(self, V: KernelV, spec: GridSpec):
+        self.V, self.spec = V, spec
+        n = spec.points_per_axis
+        size = next_fast_len(2 * n - 1, real=True)
+        self.fft_shape = (size,) * spec.dim
+        # padded index n-1+d holds offset d; place it at d mod size
+        src = np.r_[n - 1:2 * n - 1, 0:n - 1]
+        dst = np.r_[0:n, size - n + 1:size]
+        embedded = np.zeros(self.fft_shape)
+        embedded[np.ix_(*[dst] * spec.dim)] = \
+            sample_kernel(V, spec).values[np.ix_(*[src] * spec.dim)]
+        self.kernel_hat = rfftn(embedded)
+        self._dense = None
+
+    def dense_matrix(self) -> np.ndarray:
+        """Pairwise matrix V(|x - y|) over all grid points (direct oracle).
+
+        Distances come from the point coordinates, one block of rows and
+        one axis at a time, independently of the sampled kernel.
+        """
+        if self._dense is not None:
+            return self._dense
+        spec = self.spec
+        P = spec.num_points
+        nbytes = P * P * 8
+        if nbytes > DENSE_MATRIX_LIMIT_BYTES:
+            raise ValueError(
+                f"dense kernel matrix for {P} points needs "
+                f"{nbytes / 2**30:.1f} GiB, above the "
+                f"{DENSE_MATRIX_LIMIT_BYTES / 2**30:g} GiB limit of "
+                f"method 'direct'")
+        x = spec.coords.reshape(-1, spec.dim)
+        origin = origin_value(self.V, spec)
+        mat = np.empty((P, P))
+        rows = max(1, 2**20 // P)  # about 2^20 entries per temporary
+        for i in range(0, P, rows):
+            d2 = np.zeros((min(rows, P - i), P))
+            for k in range(spec.dim):
+                d2 += (x[i:i + rows, k, None] - x[None, :, k]) ** 2
+            d = np.sqrt(d2)
+            nz = d > 0.5 * spec.h
+            block = mat[i:i + rows]
+            block[nz] = self.V.v(d[nz])
+            _require_finite(block[nz], "kernel")
+            block[~nz] = origin
+        self._dense = mat
+        return mat
+
+
+_OPERATOR_CACHE_SIZE = 4
+_OPERATORS = collections.OrderedDict()
+
+
+def nonlocal_operator(V: KernelV, spec: GridSpec) -> NonlocalOperator:
+    """The operator of V on spec, from a small least-recently-used cache."""
+    key = (spec, V.v, repr(V.origin_rule))
+    op = _OPERATORS.get(key)
+    if op is None:
+        op = NonlocalOperator(V, spec)
+        _OPERATORS[key] = op
+        if len(_OPERATORS) > _OPERATOR_CACHE_SIZE:
+            _OPERATORS.popitem(last=False)
+    else:
+        _OPERATORS.move_to_end(key)
+    return op
+
+
 def coupling_density(U: MultiField, model: EnergyModel) -> np.ndarray:
     g = model.G.g([c.values for c in U.components])
     _require_finite(np.asarray(g), "coupling")
     return np.asarray(g, dtype=np.float64)
 
 
-def kernel_convolve(g: np.ndarray, kernel: ScalarField) -> np.ndarray:
-    """Free-space linear convolution sum_y K[x - y] g(y) (no volume factor).
+def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
+                    method: str = "fft") -> np.ndarray:
+    """Free-space linear convolution sum_y V(|x - y|) g(y) (no volume factor).
 
-    fftconvolve zero-pads to the full linear size, so there is no periodic
-    wrap-around.
+    Every nonlocal application goes through here: "fft" is one rfftn and
+    one irfftn on the circulant embedding, "direct" the dense matrix.
     """
-    return fftconvolve(g, kernel.values, mode="valid")
+    if method == "fft":
+        full = irfftn(rfftn(g, op.fft_shape) * op.kernel_hat, op.fft_shape)
+        return full[tuple(slice(n) for n in g.shape)].copy()
+    if method == "direct":
+        return (op.dense_matrix() @ g.ravel()).reshape(g.shape)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def nonlocal_potential(U: MultiField, model: EnergyModel,
+                       method: str = "fft") -> np.ndarray:
+    """The potential V*g of U's coupling density g (no volume factor)."""
+    return kernel_convolve(coupling_density(U, model),
+                           nonlocal_operator(model.V, U.spec), method)
+
+
+def _nonlocal_energy(U: MultiField, model: EnergyModel, method: str):
+    """(E3, V*g) of U; (0.0, None) without a nonlocal term."""
+    if model.G is None:
+        return 0.0, None
+    g = coupling_density(U, model)
+    conv = kernel_convolve(g, nonlocal_operator(model.V, U.spec), method)
+    return -float(np.sum(g * conv)) * U.spec.cell_volume**2, conv
 
 
 def nonlocal_quadratic(U: MultiField, model: EnergyModel,
                        method: str = "fft") -> float:
     """Positive double sum Q(U) = h^2N sum_xy g(x) V(|x-y|) g(y)."""
-    if model.G is None:
-        return 0.0
-    spec = U.spec
-    g = coupling_density(U, model)
-    if method == "fft":
-        kernel = sample_kernel(model.V, spec)
-        conv = kernel_convolve(g, kernel)
-        q = float(np.sum(g * conv))
-    elif method == "direct":
-        kmat = _kernel_matrix(model.V, spec)
-        gf = g.ravel()
-        q = float(gf @ (kmat @ gf))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return q * spec.cell_volume**2
-
-
-_KERNEL_MATRIX_CACHE = {}
-
-
-def _kernel_matrix(V: KernelV, spec: GridSpec) -> np.ndarray:
-    """Dense pairwise matrix V(|x - y|) over all grid points (direct oracle)."""
-    key = (spec, V.v, repr(V.origin_rule))
-    hit = _KERNEL_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x = spec.coords.reshape(-1, spec.dim)
-    d = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
-    vals = np.empty_like(d)
-    nz = d > 0.5 * spec.h
-    vals[nz] = V.v(d[nz])
-    _require_finite(vals[nz], "kernel")
-    vals[~nz] = origin_value(V, spec)
-    if len(_KERNEL_MATRIX_CACHE) > 4:
-        _KERNEL_MATRIX_CACHE.clear()
-    _KERNEL_MATRIX_CACHE[key] = vals
-    return vals
+    return -_nonlocal_energy(U, model, method)[0]
 
 
 def eval_E3(U: MultiField, model: EnergyModel, method: str = "fft") -> float:
-    if model.G is None:
-        return 0.0
-    return -nonlocal_quadratic(U, model, method)
+    return _nonlocal_energy(U, model, method)[0]
 
 
 def eval_total(U: MultiField, model: EnergyModel,
                method: str = "fft") -> EnergyBreakdown:
-    return EnergyBreakdown(eval_E1(U, model), eval_E2(U, model),
-                           eval_E3(U, model, method))
+    E3, potential = _nonlocal_energy(U, model, method)
+    return EnergyBreakdown(eval_E1(U, model), eval_E2(U, model), E3,
+                           potential)
 
 
 # --- sampled verification of the structural assumptions ---------------------

@@ -9,8 +9,8 @@ import dataclasses
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .energy import (EnergyModel, coupling_density, eval_total,
-                     kernel_convolve, sample_kernel)
+from .energy import (EnergyBreakdown, EnergyModel, eval_total,
+                     nonlocal_potential)
 from .grid import (GridSpec, MultiField, ScalarField, axis_derivative,
                    axis_derivative_adjoint, gradient_magnitude, lp_norm)
 from .rearrange import schwarz_multi, symmetry_deficit
@@ -39,13 +39,15 @@ def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiFi
     return MultiField(comps)
 
 
-def discrete_gradient(U: MultiField, model: EnergyModel) -> MultiField:
+def discrete_gradient(U: MultiField, model: EnergyModel,
+                      potential: np.ndarray | None = None) -> MultiField:
     """Exact gradient of the discrete energy with respect to grid values.
 
     E1 differentiates through the finite-difference stencils of
     gradient_magnitude; E2 is pointwise; E3 contributes
     -2 h^2N (V * g) dG/ds_i (the factor 2 comes from the symmetric double
-    sum).
+    sum).  potential, when given, is V * g of U (EnergyBreakdown.potential)
+    and saves the convolution.
     """
     spec = U.spec
     h, hN = spec.h, spec.cell_volume
@@ -70,8 +72,8 @@ def discrete_gradient(U: MultiField, model: EnergyModel) -> MultiField:
             grads[i] -= hN * np.asarray(df[i])
 
     if model.G is not None:
-        g = coupling_density(U, model)
-        conv = kernel_convolve(g, sample_kernel(model.V, spec))
+        conv = (nonlocal_potential(U, model) if potential is None
+                else potential)
         dg = model.G.dg_ds(vals)
         for i in range(U.m):
             grads[i] -= 2.0 * hN**2 * conv * np.asarray(dg[i])
@@ -80,17 +82,24 @@ def discrete_gradient(U: MultiField, model: EnergyModel) -> MultiField:
 
 
 def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
-                 eta: float, energy: float | None = None,
-                 max_halvings: int = 30):
+                 eta: float, energy: float | EnergyBreakdown | None = None,
+                 max_halvings: int = 30, grad: MultiField | None = None):
     """One projected, clamped gradient step with energy backtracking.
 
     Returns (U_new, energy_new, eta_used, accepted).  The candidate is
     max(U - eta*grad, 0) projected back onto the constraint spheres; eta is
     halved until the energy decreases or the halving budget is exhausted.
+
+    energy is U's total energy or its EnergyBreakdown, whose potential then
+    gives the gradient; energy_new comes back in the same form.  grad, when
+    given, is discrete_gradient(U, model).
     """
-    if energy is None:
-        energy = eval_total(U, model).total
-    grad = discrete_gradient(U, model)
+    as_breakdown = isinstance(energy, EnergyBreakdown)
+    bk = eval_total(U, model) if energy is None else energy
+    known = isinstance(bk, EnergyBreakdown)
+    level = bk.total if known else bk
+    if grad is None:
+        grad = discrete_gradient(U, model, bk.potential if known else None)
     for _ in range(max_halvings + 1):
         comps = [ScalarField(U.spec, np.maximum(u.values - eta * g.values, 0.0))
                  for u, g in zip(U.components, grad.components)]
@@ -99,17 +108,20 @@ def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
         except ValueError:
             eta *= 0.5
             continue
-        cand_energy = eval_total(cand, model).total
-        if cand_energy < energy:
-            return cand, cand_energy, eta, True
+        cand_bk = eval_total(cand, model)
+        if cand_bk.total < level:
+            return cand, cand_bk if as_breakdown else cand_bk.total, eta, True
         eta *= 0.5
-    return U, energy, eta, False
+    return U, bk if as_breakdown else level, eta, False
 
 
-def lagrange_residual(U: MultiField, model: EnergyModel, p: float):
+def lagrange_residual(U: MultiField, model: EnergyModel, p: float,
+                      grad: MultiField | None = None):
     """Least-squares multipliers along the constraint normals and the
-    relative Euler-Lagrange residuals."""
-    grad = discrete_gradient(U, model)
+    relative Euler-Lagrange residuals; grad, when given, is
+    discrete_gradient(U, model)."""
+    if grad is None:
+        grad = discrete_gradient(U, model)
     hN = U.spec.cell_volume
     lams, residuals = [], []
     for u, g in zip(U.components, grad.components):
@@ -213,12 +225,14 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
 
     Every k_pol accepted steps the iterate is replaced by its component-wise
     Schwarz rearrangement (re-projected); an energy increase beyond the
-    discretization tolerance is surfaced as a warning.
+    discretization tolerance is surfaced as a warning.  Each field is
+    evaluated once: its EnergyBreakdown fills the trace row and its
+    potential gives the gradient for the residual and the next step.
     """
     model, c = config.model, config.constraints
     U = project_constraints(config.initial, c, model.p)
     bk = eval_total(U, model)
-    energy = bk.total
+    grad = discrete_gradient(U, model, bk.potential)
     trace = [TraceStep(0, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True, "initial")]
     warnings = []
     eta = config.eta
@@ -228,29 +242,31 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         if config.k_pol > 0 and step % config.k_pol == 0:
             sym = project_constraints(schwarz_multi(U), c, model.p)
             sym_bk = eval_total(sym, model)
-            tol = grad_tol(config.spec.h, energy)
-            if sym_bk.total > energy + tol:
+            tol = grad_tol(config.spec.h, bk.total)
+            if sym_bk.total > bk.total + tol:
                 warnings.append(
                     f"step {step}: symmetrization raised energy by "
-                    f"{sym_bk.total - energy:.3e} (tol {tol:.3e})")
-            U, energy = sym, sym_bk.total
-            trace.append(TraceStep(step, sym_bk.E1, sym_bk.E2, sym_bk.E3,
-                                   sym_bk.total, 0.0, True, "schwarz"))
+                    f"{sym_bk.total - bk.total:.3e} (tol {tol:.3e})")
+            U, bk = sym, sym_bk
+            grad = discrete_gradient(U, model, bk.potential)
+            trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3,
+                                   bk.total, 0.0, True, "schwarz"))
             continue
-        U, energy, eta_used, accepted = descent_step(U, model, c, eta, energy)
-        bk = eval_total(U, model)
+        U, bk, eta_used, accepted = descent_step(U, model, c, eta, bk,
+                                                 grad=grad)
         trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3, bk.total,
                                eta_used, accepted))
         if not accepted:
             status = "stalled"
             break
         eta = eta_used * 2.0  # allow the step size to recover
-        _, residuals = lagrange_residual(U, model, model.p)
+        grad = discrete_gradient(U, model, bk.potential)
+        _, residuals = lagrange_residual(U, model, model.p, grad)
         if max(residuals) <= config.grad_tol:
             status = "converged"
             break
 
-    lams, residuals = lagrange_residual(U, model, model.p)
+    lams, residuals = lagrange_residual(U, model, model.p, grad)
     deficits = tuple(symmetry_deficit(comp, model.p)[0]
                      for comp in U.components)
     return MinimizeResult(U, trace, lams, residuals, deficits, status, warnings)

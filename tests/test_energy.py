@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from polarmin import models
+from polarmin import energy, models
 from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
                              LocalTermF, check_assumptions, eval_E1, eval_E2,
-                             eval_E3, eval_total, nonlocal_quadratic,
+                             eval_E3, eval_total, kernel_convolve,
+                             nonlocal_operator, nonlocal_quadratic,
                              origin_value, sample_kernel)
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 
@@ -105,6 +111,82 @@ class TestKernel:
         v = k.values.ravel()
         order = np.argsort(r)
         assert np.all(np.diff(v[order]) <= 1e-12)
+
+
+ORIGIN_RULES = ("cell_average", "zero", ("explicit", 3.5))
+
+
+def dense_sum(g, V, spec):
+    """sum_y V(|x - y|) g(y) by an explicit pairwise sum over the grid."""
+    x = spec.coords.reshape(-1, spec.dim)
+    d = np.sqrt(sum((x[:, None, k] - x[None, :, k]) ** 2
+                    for k in range(spec.dim)))
+    off = ~np.eye(len(x), dtype=bool)
+    mat = np.full(d.shape, origin_value(V, spec))
+    mat[off] = V.v(d[off])
+    return (mat @ g.ravel()).reshape(g.shape)
+
+
+class TestNonlocalOperator:
+    # n = 3, 13: next_fast_len(2n - 1) == 2n - 1; n = 9, 17: it is larger,
+    # so a wrong embedding would wrap around.  The 17^3 pairwise sum needs
+    # a 190 MB matrix and is left out.
+    @pytest.mark.parametrize("dim,n", [(d, n) for d in (1, 2, 3)
+                                       for n in (3, 9, 13, 17)
+                                       if (d, n) != (3, 17)])
+    @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
+    def test_matches_dense_sum(self, dim, n, rule):
+        spec = make_grid(dim, n, 2.0)
+        V = KernelV(v=lambda r: 1.0 / r, q=3.0, origin_rule=rule)
+        g = np.random.default_rng(n).random(spec.shape)
+        expected = dense_sum(g, V, spec)
+        op = nonlocal_operator(V, spec)
+        assert op.fft_shape == (next_fast_len(2 * n - 1, real=True),) * dim
+        for method in ("fft", "direct"):
+            got = kernel_convolve(g, op, method)
+            assert got.shape == spec.shape
+            assert np.max(np.abs(got - expected)) <= (
+                1e-12 * np.max(np.abs(expected)))
+
+    def test_cache_hit_and_bounded(self):
+        V = models.choquard(m=1, dim=3).V
+        spec = make_grid(3, 5, 2.0)
+        assert nonlocal_operator(V, spec) is nonlocal_operator(V, spec)
+        for n in (3, 5, 7, 9, 11, 13, 15):
+            nonlocal_operator(V, make_grid(2, n, 2.0))
+            assert len(energy._OPERATORS) <= energy._OPERATOR_CACHE_SIZE
+
+    def test_origin_rule_is_part_of_the_key(self):
+        spec = make_grid(3, 5, 2.0)
+
+        def v(r):
+            return 1.0 / r
+
+        ops = [nonlocal_operator(KernelV(v=v, q=3.0, origin_rule=rule), spec)
+               for rule in ORIGIN_RULES]
+        assert len({id(op) for op in ops}) == len(ORIGIN_RULES)
+        g = np.zeros(spec.shape)
+        g[2, 2, 2] = 1.0
+        centre = [kernel_convolve(g, op)[2, 2, 2] for op in ops]
+        assert centre == pytest.approx(
+            [origin_value(op.V, spec) for op in ops], rel=1e-12)
+
+    def test_dense_matrix_refused_above_limit(self):
+        spec = make_grid(3, 33, 2.0)
+        op = nonlocal_operator(models.choquard(m=1, dim=3).V, spec)
+        with pytest.raises(ValueError, match=r"35937 points needs 9\.6 GiB"):
+            kernel_convolve(np.zeros(spec.shape), op, "direct")
+        assert op._dense is None
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        code = ("import sys, polarmin; "
+                "print('scipy.signal' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(energy.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestNonlocal:

@@ -1,14 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from polarmin import models
+from polarmin import energy, models
 from polarmin.energy import (EnergyModel, IntegrandJ, LocalTermF, eval_total)
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.minimize import (ConstraintVector, MinimizeConfig, descent_step,
                                dilate, dilation_scan, discrete_gradient,
                                lagrange_residual, minimize,
                                project_constraints, symmetry_report)
-from polarmin.rearrange import schwarz
+from polarmin.rearrange import schwarz, schwarz_multi
 from polarmin.verify import random_bump_field
 
 J_DIRICHLET = IntegrandJ(j=lambda s, b: b**2,
@@ -194,6 +196,98 @@ class TestDescentAndMinimize:
             MinimizeConfig(model=confined_toy_model(),
                            constraints=ConstraintVector((1.0,)),
                            spec=spec, initial=U, eta=0.0)
+
+
+def stalling_config():
+    """example_paper at 7^3 with a Schwarz step every 55 steps; with
+    grad_tol 0 it runs until no halving of a descent step lowers the
+    energy in floating point, which happens after the first Schwarz step."""
+    spec = make_grid(3, 7, 4.0)
+    noise = np.random.default_rng(0).random(spec.shape)
+    U0 = MultiField([ScalarField(
+        spec, np.exp(-spec.radii**2 / 2.0) * (1.0 + 0.1 * noise))])
+    return MinimizeConfig(model=models.example_paper(m=1, dim=3),
+                          constraints=ConstraintVector((1.0,)), spec=spec,
+                          initial=U0, eta=0.1, max_steps=400, grad_tol=0.0,
+                          k_pol=55)
+
+
+def reference_minimize(cfg):
+    """minimize re-written with every energy and gradient recomputed."""
+    model, c = cfg.model, cfg.constraints
+    U = project_constraints(cfg.initial, c, model.p)
+    bk = eval_total(U, model)
+    energy_now = bk.total
+    rows = [(0, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True, "initial")]
+    eta = cfg.eta
+    for step in range(1, cfg.max_steps + 1):
+        if cfg.k_pol > 0 and step % cfg.k_pol == 0:
+            U = project_constraints(schwarz_multi(U), c, model.p)
+            bk = eval_total(U, model)
+            energy_now = bk.total
+            rows.append((step, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True,
+                         "schwarz"))
+            continue
+        U, energy_now, eta_used, accepted = descent_step(U, model, c, eta,
+                                                         energy_now)
+        bk = eval_total(U, model)
+        rows.append((step, bk.E1, bk.E2, bk.E3, bk.total, eta_used, accepted,
+                     "descent"))
+        if not accepted:
+            break
+        eta = eta_used * 2.0
+        _, residuals = lagrange_residual(U, model, model.p)
+        if max(residuals) <= cfg.grad_tol:
+            break
+    return U, rows, lagrange_residual(U, model, model.p)
+
+
+class TestEvaluationReuse:
+    def test_minimize_equals_recomputing_loop_bit_for_bit(self):
+        cfg = stalling_config()
+        res = minimize(cfg)
+        U_ref, rows, (lams, residuals) = reference_minimize(cfg)
+        assert res.status == "stalled"
+        assert any(t.kind == "schwarz" for t in res.trace)
+        assert [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, t.accepted,
+                 t.kind) for t in res.trace] == rows
+        stalled, before = res.trace[-1], res.trace[-2]
+        assert not stalled.accepted
+        assert (stalled.E1, stalled.E2, stalled.E3) == (
+            before.E1, before.E2, before.E3)
+        assert np.array_equal(res.U.components[0].values,
+                              U_ref.components[0].values)
+        assert (res.multipliers, res.residuals) == (lams, residuals)
+
+    def test_convolutions_per_step(self, monkeypatch):
+        mn = importlib.import_module("polarmin.minimize")
+        counts = {"conv": 0, "candidates": 0}
+        in_step = [False]
+        real_conv, real_eval = energy.kernel_convolve, mn.eval_total
+        real_step = mn.descent_step
+
+        def conv(*args, **kwargs):
+            counts["conv"] += 1
+            return real_conv(*args, **kwargs)
+
+        def evaluate(*args, **kwargs):
+            counts["candidates"] += in_step[0]
+            return real_eval(*args, **kwargs)
+
+        def step(*args, **kwargs):
+            in_step[0] = True
+            try:
+                return real_step(*args, **kwargs)
+            finally:
+                in_step[0] = False
+
+        monkeypatch.setattr(energy, "kernel_convolve", conv)
+        monkeypatch.setattr(mn, "eval_total", evaluate)
+        monkeypatch.setattr(mn, "descent_step", step)
+        res = minimize(stalling_config())
+        schwarz_steps = sum(t.kind == "schwarz" for t in res.trace)
+        assert counts["candidates"] >= len(res.trace) - 1 - schwarz_steps
+        assert counts["conv"] <= counts["candidates"] + schwarz_steps + 2
 
 
 class TestSymmetryReport:
