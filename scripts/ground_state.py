@@ -50,8 +50,7 @@ def main():
 
     cfg = MinimizeConfig(model=model, constraints=c, spec=spec, initial=init,
                          eta=args.eta, max_steps=args.max_steps,
-                         grad_tol=args.grad_tol, k_pol=args.k_pol,
-                         seed=args.seed)
+                         grad_tol=args.grad_tol, k_pol=args.k_pol)
     res = minimize(cfg)
 
     out = pathlib.Path(args.out)

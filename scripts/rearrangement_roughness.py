@@ -18,27 +18,12 @@ import argparse
 import numpy as np
 
 from polarmin.energy import IntegrandJ
-from polarmin.grid import ScalarField, make_grid
-from polarmin.verify import check_polya_szego
+from polarmin.grid import make_grid
+from polarmin.verify import bump_params, check_polya_szego, eval_bumps
 
 J2 = IntegrandJ(j=lambda s, b: b**2,
                 dj_ds=lambda s, b: np.zeros_like(np.asarray(s, float)),
                 dj_db=lambda s, b: 2.0 * b)
-
-
-def bump_params(rng, dim, half_width):
-    count = rng.integers(1, 4)
-    return [(rng.uniform(-half_width / 2, half_width / 2, size=dim),
-             rng.uniform(half_width / 8, half_width / 4),
-             rng.uniform(0.1, 2.0)) for _ in range(count)]
-
-
-def eval_bumps(spec, params):
-    vals = np.zeros(spec.shape)
-    for center, width, amp in params:
-        d2 = np.sum((spec.coords - center) ** 2, axis=-1)
-        vals += amp * np.exp(-d2 / (2.0 * width**2))
-    return ScalarField(spec, vals)
 
 
 def main():

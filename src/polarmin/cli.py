@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 
 COMMANDS = ("symmetrize", "verify", "minimize", "polya-szego")
 
-# key -> (parser, validator, default); validators raise ConfigError
+# key -> (parser, default)
 _SCHEMA = {
     "command": (str, None),
     "dim": (int, 2),
@@ -98,6 +98,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: key {key!r} expects {caster.__name__}, "
                 f"got {val!r}") from None
+        if caster is float and not np.isfinite(values[key]):
+            raise ConfigError(
+                f"line {lineno}: key {key!r} must be finite, got {val!r}")
     _validate(values, seen)
     return RunConfig(values)
 
@@ -137,6 +140,8 @@ def _validate(values: dict, seen: dict) -> None:
         bad("trials", "trials must be >= 1")
     if values["init"] not in ("gaussian", "dilation_scan"):
         bad("init", "init must be gaussian or dilation_scan")
+    if not np.all(np.isfinite(RunConfig(values).constraint_vector)):
+        bad("c", "entries must be finite")
 
 
 def _timestamp() -> str:
@@ -216,8 +221,7 @@ def _run_minimize(cfg: RunConfig, out: str) -> int:
         U0 = best[2]
     mconf = MinimizeConfig(model=model, constraints=cvec, spec=spec,
                            initial=U0, eta=cfg.eta, max_steps=cfg.max_steps,
-                           grad_tol=cfg.grad_tol, k_pol=cfg.k_pol,
-                           seed=cfg.seed)
+                           grad_tol=cfg.grad_tol, k_pol=cfg.k_pol)
     result = minimize(mconf)
     result.trace_to_csv(os.path.join(out, "trace.csv"),
                         header_comment=_timestamp())
@@ -285,7 +289,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         return run(cfg, command=args.command, out=args.out, seed=args.seed)
-    except (ConfigError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

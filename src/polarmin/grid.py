@@ -201,9 +201,13 @@ def read_field(path) -> MultiField:
     try:
         dim, m, n = int(parts[0]), int(parts[1]), int(parts[2])
         half_width = float(parts[3])
+        if not np.isfinite(half_width):
+            raise ValueError("half-width must be finite")
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        spec = make_grid(dim, n, half_width)
     except ValueError as err:
         raise FieldFormatError(f"line 2: {err}") from None
-    spec = make_grid(dim, n, half_width)
     expected = m * spec.num_points
     raw = []
     for lineno, line in enumerate(lines[2:], start=3):

@@ -181,7 +181,6 @@ class MinimizeConfig:
     max_steps: int = 200
     grad_tol: float = 1e-3
     k_pol: int = 10          # Schwarz interleave period; 0 = never
-    seed: int = 0
 
     def __post_init__(self):
         if self.eta <= 0 or self.max_steps < 1:

@@ -8,13 +8,12 @@ values is preserved bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import GridSpec, MultiField, ScalarField, lp_norm
-
-_GEOM_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,11 +34,6 @@ class HalfSpace:
             raise ValueError("reflection not grid-compatible")
         if self.offset > 0:
             raise ValueError("half-space must contain the origin (t <= 0)")
-
-    @property
-    def unit(self) -> np.ndarray:
-        d = np.array(self.normal, dtype=float)
-        return d / np.linalg.norm(d)
 
     def label(self) -> str:
         terms = []
@@ -77,71 +71,72 @@ def admissible_half_spaces(spec: GridSpec) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _reflection_tables(spec: GridSpec, H: HalfSpace):
-    """Partner permutation and side masks for a half-space on a grid.
-
-    Returns (partner, in_h, out_h) over flattened points: ``partner`` is the
-    flat index of the reflected point (-1 if it leaves the box), ``in_h``
-    marks the strict interior of H, ``out_h`` its strict complement.
-    """
-    h = spec.h
-    c = (spec.points_per_axis - 1) // 2
-    idx = np.indices(spec.shape).reshape(spec.dim, -1).T - c  # integer offsets
-    x = idx * h
-    e = H.unit
-    side = x @ e - H.offset
-    xr = x - 2.0 * np.outer(side, e)
-    ir = xr / h + c
-    ir_round = np.rint(ir).astype(np.int64)
-    if not np.allclose(ir, ir_round, atol=_GEOM_TOL):
+def _mirror_steps(spec: GridSpec, H: HalfSpace) -> int:
+    """Offset of dH as a whole count j of half grid steps along the normal:
+    t = -j*h/2 for an axis normal, t = -j*h/sqrt(2) for a diagonal."""
+    steps = -2.0 * H.offset / (spec.h * math.hypot(*H.normal))
+    j = round(steps)
+    if abs(steps - j) > 1e-9:
         raise ValueError("reflection not grid-compatible")
-    valid = np.all((ir_round >= 0) & (ir_round < spec.points_per_axis), axis=1)
-    partner = np.full(len(x), -1, dtype=np.int64)
-    partner[valid] = np.ravel_multi_index(
-        tuple(ir_round[valid].T), spec.shape)
-    tol = _GEOM_TOL * h
-    in_h = side > tol
-    out_h = side < -tol
-    return partner, in_h, out_h
+    return j
 
 
 def reflect(spec: GridSpec, H: HalfSpace, index: tuple) -> tuple:
-    """Grid index of the reflection x_H of a grid point across dH."""
-    partner, _, _ = _reflection_tables(spec, H)
-    flat = np.ravel_multi_index(tuple(index), spec.shape)
-    p = partner[flat]
-    if p < 0:
+    """Grid index of the reflection x_H of a grid point across dH.
+
+    On centred indices i and the integer normal d the reflection is
+    i - (2 d.i / |d|^2 + j) d, with j from ``_mirror_steps``.
+    """
+    c = (spec.points_per_axis - 1) // 2
+    d = np.array(H.normal)
+    i = np.array(index) - c
+    r = i - (2 * (d @ i) // (d @ d) + _mirror_steps(spec, H)) * d + c
+    if np.any((r < 0) | (r >= spec.points_per_axis)):
         raise ValueError("reflected point lies outside the box")
-    return tuple(int(i) for i in np.unravel_index(p, spec.shape))
+    return tuple(int(v) for v in r)
 
 
 def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
-    out, leak = polarize_with_leak(field, H)
-    return out
+    """Two-point rearrangement u^H.
 
-
-def polarize_with_leak(field: ScalarField, H: HalfSpace):
-    """Two-point rearrangement u^H; also returns the mass-leak diagnostic.
-
-    For each reflection pair {x, x_H} with x in H, the larger value goes to x
-    and the smaller to x_H.  Points whose partner lies outside the box are
-    paired with the implicit value 0; for the admissible family such points
-    always lie in H, so the leak is zero in practice.
+    For each reflection pair {x, x_H} with x in H, the larger value goes to
+    x and the smaller to x_H.  Points on dH, and points of H whose image
+    leaves the box, keep their value; since 0 is in H, every point outside
+    H has its image in the box.  With axes flipped so the normal reads +e_k
+    or +e_a - e_b, the pairs fill a block on which the reflection is a view:
+    the first n - j planes along k reversed, or [0, n-j) x [j, n) on (a, b)
+    transposed.
     """
     if np.any(field.values < 0):
         raise ValueError("polarization requires non-negative fields")
-    partner, in_h, out_h = _reflection_tables(field.spec, H)
-    u = field.values.ravel()
-    out = u.copy()
-    sel = in_h & (partner >= 0)
-    out[sel] = np.maximum(u[sel], u[partner[sel]])
-    sel = out_h & (partner >= 0)
-    out[sel] = np.minimum(u[sel], u[partner[sel]])
-    lost = out_h & (partner < 0)
-    leak = float(np.sum(u[lost])) * field.spec.cell_volume
-    out[lost] = 0.0
-    return ScalarField(field.spec, out.reshape(field.spec.shape)), leak
+    n = field.spec.points_per_axis
+    j = _mirror_steps(field.spec, H)
+    m = max(n - j, 0)
+    axes = [k for k, v in enumerate(H.normal) if v != 0]
+    flips = [k for k, s in zip(axes, (1, -1)) if H.normal[k] != s]
+    window = (slice(0, m), slice(j, n))[:len(axes)]
+
+    def block(values):
+        return np.moveaxis(np.flip(values, flips), axes,
+                           range(len(axes)))[window]
+
+    out = field.values.copy()
+    u, dst = block(field.values), block(out)
+    if len(axes) == 1:
+        # the first m // 2 planes lie outside H, the last m // 2 inside
+        half = m // 2
+        mirror = u[::-1]
+        np.minimum(u[:half], mirror[:half], out=dst[:half])
+        np.maximum(u[m - half:], mirror[m - half:], out=dst[m - half:])
+    else:
+        # the strict upper triangle on (a, b) lies outside H
+        mirror = u.swapaxes(0, 1)
+        q = np.arange(m)
+        outside = q[:, None] < q[None, :]
+        np.maximum(u, mirror, out=dst)
+        np.copyto(dst, np.minimum(u, mirror),
+                  where=outside.reshape(outside.shape + (1,) * (u.ndim - 2)))
+    return ScalarField(field.spec, out)
 
 
 def polarize_multi(U: MultiField, H: HalfSpace) -> MultiField:

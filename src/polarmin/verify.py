@@ -177,17 +177,28 @@ def equiintegrability_profile(fields, r: float, deltas, levels, radii) -> TailPr
 
 # --- random fields and the aggregated property suite ------------------------
 
-def random_bump_field(spec: GridSpec, rng: np.random.Generator) -> ScalarField:
-    """Sum of 1-3 Gaussians: smooth, positive, decaying inside the box."""
-    L = spec.half_width
+def bump_params(rng: np.random.Generator, dim: int, half_width: float) -> list:
+    """Draw 1-3 Gaussian bumps (center, width, amplitude) scaled to a box
+    [-half_width, half_width]^dim: centres within half of it, widths
+    between 1/8 and 1/4 of the half-width."""
+    count = rng.integers(1, 4)
+    return [(rng.uniform(-half_width / 2, half_width / 2, size=dim),
+             rng.uniform(half_width / 8, half_width / 4),
+             rng.uniform(0.1, 2.0)) for _ in range(count)]
+
+
+def eval_bumps(spec: GridSpec, params) -> ScalarField:
+    """Sample a sum of Gaussian bumps from ``bump_params`` on a grid."""
     vals = np.zeros(spec.shape)
-    for _ in range(rng.integers(1, 4)):
-        center = rng.uniform(-L / 2, L / 2, size=spec.dim)
-        width = rng.uniform(L / 8, L / 4)
-        amp = rng.uniform(0.1, 2.0)
+    for center, width, amp in params:
         d2 = np.sum((spec.coords - center) ** 2, axis=-1)
         vals += amp * np.exp(-d2 / (2.0 * width**2))
     return ScalarField(spec, vals)
+
+
+def random_bump_field(spec: GridSpec, rng: np.random.Generator) -> ScalarField:
+    """Sum of 1-3 Gaussians: smooth, positive, decaying inside the box."""
+    return eval_bumps(spec, bump_params(rng, spec.dim, spec.half_width))
 
 
 @dataclasses.dataclass

@@ -21,27 +21,12 @@ from polarmin.rearrange import (PolarizationSchedule, _objective,
                                 admissible_half_spaces, iterate_polarizations,
                                 polarize, polarize_multi, schwarz,
                                 schwarz_multi)
-from polarmin.verify import (check_nonlocal_monotonicity, check_polya_szego,
-                             random_bump_field)
+from polarmin.verify import (bump_params, check_nonlocal_monotonicity,
+                             check_polya_szego, eval_bumps, random_bump_field)
 
 
 def report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def bump_params(rng, dim, half_width):
-    count = rng.integers(1, 4)
-    return [(rng.uniform(-half_width / 2, half_width / 2, size=dim),
-             rng.uniform(half_width / 8, half_width / 4),
-             rng.uniform(0.1, 2.0)) for _ in range(count)]
-
-
-def eval_bumps(spec, params):
-    vals = np.zeros(spec.shape)
-    for center, width, amp in params:
-        d2 = np.sum((spec.coords - center) ** 2, axis=-1)
-        vals += amp * np.exp(-d2 / (2.0 * width**2))
-    return ScalarField(spec, vals)
 
 
 GRAD_INTEGRANDS = {
@@ -284,8 +269,7 @@ def test_example_model_end_to_end():
 
     init = project_constraints(schwarz_multi(best_U), c, model.p)
     cfg = MinimizeConfig(model=model, constraints=c, spec=spec, initial=init,
-                         eta=0.1, max_steps=800, grad_tol=1e-3, k_pol=0,
-                         seed=0)
+                         eta=0.1, max_steps=800, grad_tol=1e-3, k_pol=0)
     res = minimize(cfg)
     total = res.trace[-1].total
     mass_err = abs(lp_norm(res.U.components[0], model.p) ** model.p - 1.0)

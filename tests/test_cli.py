@@ -50,6 +50,10 @@ class TestParseConfig:
         ("model = nosuch", "unknown model"),
         ("half_width = -1", "positive"),
         ("init = fancy", "init"),
+        ("half_width = nan", "must be finite"),
+        ("tol = inf", "must be finite"),
+        ("eta = -inf", "must be finite"),
+        ("c = 1.0, nan", "entries must be finite"),
     ])
     def test_value_validation(self, line, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -175,3 +179,41 @@ class TestFieldInput:
                            f"field = {path}\n")
         assert main(["symmetrize", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestErrorsExitTwo:
+    """Bad configs and malformed field files end with exit code 2 and an
+    ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def run_main(tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        code = main(["symmetrize", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["half_width = nan", "tol = inf",
+                                      "p = nan", "c = nan"])
+    def test_non_finite_config_value(self, tmp_path, capsys, line):
+        self.run_main(tmp_path, capsys,
+                      f"command = symmetrize\ndim = 1\nn = 5\n{line}\n")
+
+    @pytest.mark.parametrize("text", [
+        "RFLD 2\n1 1 5 2.0\n",        # bad magic
+        "RFLD 1\n1 1 5 nan\n",        # non-finite half-width
+        "RFLD 1\n1 1 5 inf\n",
+        "RFLD 1\n1 1 5 -2.0\n",       # half-width not positive
+        "RFLD 1\n1 1 4 2.0\n",        # even point count
+        "RFLD 1\n4 1 5 2.0\n",        # dim out of range
+        "RFLD 1\n1 0 5 2.0\n",        # no component
+        "RFLD 1\n1 1 5 2.0\n0 1 2\n",  # too few values
+    ])
+    def test_malformed_field_file(self, tmp_path, capsys, text):
+        path = tmp_path / "in.rfld"
+        path.write_text(text)
+        self.run_main(tmp_path, capsys,
+                      "command = symmetrize\ndim = 1\nn = 5\n"
+                      f"half_width = 2.0\nfield = {path}\n")

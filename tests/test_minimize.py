@@ -166,7 +166,7 @@ class TestDescentAndMinimize:
             c, 2.0)
         cfg = MinimizeConfig(model=model, constraints=c, spec=spec,
                              initial=U0, eta=0.1, max_steps=4000,
-                             grad_tol=1e-4, k_pol=k_pol, seed=0)
+                             grad_tol=1e-4, k_pol=k_pol)
         res = minimize(cfg)
         assert res.status == "converged"
         assert res.residuals[0] <= 1e-4

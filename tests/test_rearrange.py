@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
                                 PolarizationSchedule, admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
-                                polarize, polarize_multi, polarize_with_leak,
-                                reflect, schwarz, schwarz_multi,
+                                polarize, polarize_multi, reflect, schwarz, schwarz_multi,
                                 symmetry_deficit)
 
 SPEC_1D = make_grid(1, 5, 2.0)
 SPEC_2D = make_grid(2, 9, 2.0)
+SPEC_3D = make_grid(3, 7, 2.0)
 
 nonneg_1d = arrays(np.float64, (5,), elements=st.floats(0.0, 5.0))
 nonneg_2d = arrays(np.float64, (9, 9), elements=st.floats(0.0, 5.0))
@@ -24,6 +25,39 @@ nonneg_2d = arrays(np.float64, (9, 9), elements=st.floats(0.0, 5.0))
 def hs_strategy(spec):
     family = admissible_half_spaces(spec)
     return st.sampled_from(family)
+
+
+# Independent oracle: reflect every grid point in floating point,
+# x - 2 (x.e - t) e, and round the image back to the lattice.
+def oracle_tables(spec, H):
+    """(partner, in_h, out_h) over flat indices; partner -1 off the box."""
+    h, n = spec.h, spec.points_per_axis
+    c = (n - 1) // 2
+    x = (np.indices(spec.shape).reshape(spec.dim, -1).T - c) * h
+    e = np.array(H.normal, dtype=float)
+    e /= np.linalg.norm(e)
+    side = x @ e - H.offset
+    ir = (x - 2.0 * np.outer(side, e)) / h + c
+    ir_round = np.rint(ir).astype(np.int64)
+    assert np.allclose(ir, ir_round, rtol=0.0, atol=1e-9)
+    valid = np.all((ir_round >= 0) & (ir_round < n), axis=1)
+    partner = np.full(len(x), -1, dtype=np.int64)
+    partner[valid] = np.ravel_multi_index(tuple(ir_round[valid].T),
+                                          spec.shape)
+    return partner, side > 1e-9 * h, side < -1e-9 * h
+
+
+def oracle_polarize(vals, H, spec):
+    partner, in_h, out_h = oracle_tables(spec, H)
+    u = vals.ravel()
+    out = u.copy()
+    sel = in_h & (partner >= 0)
+    out[sel] = np.maximum(u[sel], u[partner[sel]])
+    sel = out_h & (partner >= 0)
+    out[sel] = np.minimum(u[sel], u[partner[sel]])
+    return out.reshape(spec.shape)
+
+
 
 
 class TestHalfSpace:
@@ -106,18 +140,26 @@ class TestPolarize:
     @given(nonneg_2d, hs_strategy(SPEC_2D))
     @settings(max_examples=30, deadline=None)
     def test_dominates_reflection_inside_h(self, vals, H):
-        from polarmin.rearrange import _reflection_tables
+        uh = polarize(ScalarField(SPEC_2D, vals), H).values
+        e = np.array(H.normal) / np.linalg.norm(H.normal)
+        for idx in np.ndindex(SPEC_2D.shape):
+            if SPEC_2D.coords[idx] @ e - H.offset <= 1e-9 * SPEC_2D.h:
+                continue
+            try:
+                partner = reflect(SPEC_2D, H, idx)
+            except ValueError:
+                continue
+            assert uh[idx] >= uh[partner]
 
-        uh = polarize(ScalarField(SPEC_2D, vals), H).values.ravel()
-        partner, in_h, _ = _reflection_tables(SPEC_2D, H)
-        sel = in_h & (partner >= 0)
-        assert np.all(uh[sel] >= uh[partner[sel]])
-
-    @given(nonneg_2d, hs_strategy(SPEC_2D))
-    @settings(max_examples=30, deadline=None)
-    def test_leak_is_zero_for_admissible_family(self, vals, H):
-        _, leak = polarize_with_leak(ScalarField(SPEC_2D, vals), H)
-        assert leak == 0.0
+    def test_leak_is_zero_for_admissible_family(self):
+        # every point strictly outside H has its mirror image in the box,
+        # strictly inside H, so no value is paired with the outside
+        for spec in (SPEC_2D, SPEC_3D):
+            for H in admissible_half_spaces(spec):
+                e = np.array(H.normal) / np.linalg.norm(H.normal)
+                side = spec.coords @ e - H.offset
+                for idx in zip(*np.nonzero(side < -1e-9 * spec.h)):
+                    assert side[reflect(spec, H, idx)] > 1e-9 * spec.h
 
     def test_multi_reduces_to_scalar(self):
         u = ScalarField(SPEC_1D, [0, 3, 1, 0, 0])
@@ -131,6 +173,71 @@ class TestPolarize:
         UH = polarize_multi(U, HalfSpace((0, 1), 0.0))
         for c in UH.components:
             assert np.all(c.values == 0.0)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("spec", [SPEC_1D, make_grid(1, 9, 2.0),
+                                      SPEC_2D, SPEC_3D],
+                             ids=["1d-n5", "1d-n9", "2d-n9", "3d-n7"])
+    @pytest.mark.parametrize("values", ["random", "tied"])
+    def test_polarize_bit_identical(self, spec, values):
+        rng = np.random.default_rng(7)
+        if values == "random":
+            vals = rng.random(spec.shape)
+        else:
+            vals = rng.integers(0, 3, spec.shape).astype(float)
+        u = ScalarField(spec, vals)
+        for H in admissible_half_spaces(spec):
+            assert np.array_equal(polarize(u, H).values,
+                                  oracle_polarize(vals, H, spec)), H
+
+    @pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D, SPEC_3D],
+                             ids=["1d", "2d", "3d"])
+    def test_reflect_every_point(self, spec):
+        for H in admissible_half_spaces(spec):
+            partner, _, _ = oracle_tables(spec, H)
+            for flat, idx in enumerate(np.ndindex(spec.shape)):
+                if partner[flat] < 0:
+                    with pytest.raises(ValueError, match="outside the box"):
+                        reflect(spec, H, idx)
+                else:
+                    expect = np.unravel_index(partner[flat], spec.shape)
+                    assert reflect(spec, H, idx) == tuple(map(int, expect))
+
+
+class TestBounds:
+    def test_off_lattice_offset_rejected(self):
+        H = HalfSpace((1,), -0.3)
+        with pytest.raises(ValueError, match="not grid-compatible"):
+            polarize(ScalarField(SPEC_1D, [0, 3, 1, 0, 0]), H)
+        with pytest.raises(ValueError, match="not grid-compatible"):
+            reflect(SPEC_1D, H, (2,))
+
+    @pytest.mark.parametrize("H", [HalfSpace((1,), -2.5),
+                                   HalfSpace((-1,), -7.0),
+                                   HalfSpace((0, 1), -2.5),
+                                   HalfSpace((1, -1), -9 * 0.5 / math.sqrt(2)),
+                                   HalfSpace((-1, -1), -40 * 0.5 / math.sqrt(2))])
+    def test_offset_beyond_box_is_identity(self, H):
+        spec = SPEC_1D if len(H.normal) == 1 else SPEC_2D
+        vals = np.random.default_rng(4).random(spec.shape)
+        assert np.array_equal(polarize(ScalarField(spec, vals), H).values,
+                              vals)
+
+    def test_memory_bounded_over_many_half_spaces(self):
+        spec = make_grid(3, 17, 2.0)
+        u = ScalarField(spec, np.random.default_rng(5).random(spec.shape))
+        family = admissible_half_spaces(spec)
+        picks = np.random.default_rng(6).choice(len(family), 200,
+                                                replace=False)
+        tracemalloc.start()
+        try:
+            for k in picks:
+                polarize(u, family[k])
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestSchwarz:
