@@ -198,8 +198,15 @@ class TraceRow:
 
 @dataclasses.dataclass
 class ConvergenceTrace:
+    """Trace rows, final status, and two deterministic work counters that
+    stay in memory (``to_csv`` writes the rows only): ``candidates``, the
+    half-spaces picked over all iterations, and ``polarizations``, the
+    ``polarize_multi`` calls made."""
+
     rows: list
     status: str  # converged | max_iter_reached
+    candidates: int = 0
+    polarizations: int = 0
 
     def to_csv(self, path, header_comment=None) -> None:
         m = len(self.rows[0].rel_dist)
@@ -238,19 +245,30 @@ def _objective(U: MultiField, targets, p: float) -> float:
 def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """Iterated polarizations driving U toward its Schwarz rearrangement.
 
-    A candidate polarization is only accepted if it strictly decreases the
-    distance objective to the target.  This keeps the recorded distance
-    sequence non-increasing even on tie shells of the discrete target, and
-    rules out cycles of equal-distance exchanges (a point mass can otherwise
-    bounce between mirror positions forever under a sweep schedule).
+    Each iteration picks half-spaces from the admissible family: the next
+    one in order (sweep), one at random (random), or ``greedy_candidates``
+    distinct ones at random (greedy), of which the one whose polarization
+    lowers the distance objective most is the candidate.  A candidate
+    polarization is only accepted if it strictly decreases the distance
+    objective to the target.  This keeps the recorded distance sequence
+    non-increasing even on tie shells of the discrete target, and rules out
+    cycles of equal-distance exchanges (a point mass can otherwise bounce
+    between mirror positions forever under a sweep schedule).
 
     Given enough iterations, the driver therefore settles at a fixed point
     of the admissible family: no admissible half-space strictly lowers the
     objective.  That fixed point is the Schwarz rearrangement only when
     compositions of the family's reflections reach it, for example for a
-    lattice translate of a radial field that vanishes on the faces.  Off-lattice data in general stop at
-    a floor above ``tol``, since only axis and diagonal mirrors map the
-    lattice to itself.
+    lattice translate of a radial field that vanishes on the faces.
+    Off-lattice data in general stop at a floor above ``tol``, since only
+    axis and diagonal mirrors map the lattice to itself.
+
+    The objective of each half-space is kept until a candidate is accepted,
+    since U, and so that objective, stays the same until then: each
+    half-space is polarized at most once per distinct iterate, plus once
+    more for the accepted one.  Only the objective values are kept, at most
+    one float per half-space of the family.  Iterations at a fixed point
+    still run and are traced, but cost only the random draws and lookups.
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
@@ -263,38 +281,43 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     target_norms = [lp_norm(t, p) for t in targets]
 
     U = U0.copy()
-    rows = [TraceRow(0, None, _rel_dists(U, targets, target_norms, p))]
-    status = "max_iter_reached"
-    if max(rows[0].rel_dist) <= schedule.tol:
-        return U, ConvergenceTrace(rows, "converged")
+    dists = _rel_dists(U, targets, target_norms, p)
+    trace = ConvergenceTrace([TraceRow(0, None, dists)], "max_iter_reached")
+    if max(dists) <= schedule.tol:
+        trace.status = "converged"
+        return U, trace
 
     obj = _objective(U, targets, p)
+    scores = {}  # family index -> objective of U polarized by that half-space
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
-            H = family[(it - 1) % len(family)]
-            cand = polarize_multi(U, H)
-            cand_obj = _objective(cand, targets, p)
+            picks = [(it - 1) % len(family)]
         elif schedule.mode == "random":
-            H = family[rng.integers(len(family))]
-            cand = polarize_multi(U, H)
-            cand_obj = _objective(cand, targets, p)
+            picks = [rng.integers(len(family))]
         else:  # greedy
             picks = rng.choice(len(family),
                                size=min(schedule.greedy_candidates, len(family)),
                                replace=False)
-            H, cand, cand_obj = None, None, np.inf
-            for k in picks:
-                trial = polarize_multi(U, family[k])
-                trial_obj = _objective(trial, targets, p)
-                if trial_obj < cand_obj:
-                    H, cand, cand_obj = family[k], trial, trial_obj
-        if cand_obj < obj:
-            U, obj = cand, cand_obj
-        rows.append(TraceRow(it, H, _rel_dists(U, targets, target_norms, p)))
-        if max(rows[-1].rel_dist) <= schedule.tol:
-            status = "converged"
+        trace.candidates += len(picks)
+        H, best = None, np.inf
+        for k in picks:
+            if k not in scores:
+                scores[k] = _objective(polarize_multi(U, family[k]), targets, p)
+                trace.polarizations += 1
+            if scores[k] < best:
+                H, best = family[k], scores[k]
+        if schedule.mode != "greedy":
+            H = family[picks[0]]  # recorded even if its objective is not finite
+        if best < obj:
+            U, obj = polarize_multi(U, H), best
+            trace.polarizations += 1
+            scores.clear()
+            dists = _rel_dists(U, targets, target_norms, p)
+        trace.rows.append(TraceRow(it, H, dists))
+        if max(dists) <= schedule.tol:
+            trace.status = "converged"
             break
-    return U, ConvergenceTrace(rows, status)
+    return U, trace
 
 
 def shift_field(values: np.ndarray, steps) -> np.ndarray:

@@ -1,7 +1,16 @@
+import contextlib
+import io
+import math
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarmin.cli import ConfigError, main, parse_config, run
+from polarmin.cli import COMMANDS, ConfigError, main, parse_config, run
 from polarmin.grid import MultiField, ScalarField, make_grid, write_field
 
 
@@ -217,3 +226,160 @@ class TestErrorsExitTwo:
         self.run_main(tmp_path, capsys,
                       "command = symmetrize\ndim = 1\nn = 5\n"
                       f"half_width = 2.0\nfield = {path}\n")
+
+
+def _mostly(good, bad, odds):
+    """``good``, except once in ``odds`` draws ``bad``."""
+    return st.integers(1, odds).flatmap(lambda i: bad if i == 1 else good)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_junk = st.one_of(st.floats().map(repr), st.integers().map(str),
+                  st.text(st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\n\r"),
+                          max_size=20))
+
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Keys that set the size of a run.  Every fuzzed config gives each of them
+# exactly once, with a small value or one that is not a positive integer,
+# so that an example costs milliseconds; a second line for one of them is
+# a duplicate key.
+_SIZE_KEYS = {
+    "dim": st.integers(1, 3),
+    "n": st.sampled_from([3, 5, 7, 9]),
+    "m": st.integers(1, 2),
+    "max_iter": st.integers(1, 30),
+    "trials": st.integers(1, 3),
+    "max_steps": st.integers(1, 3),
+    "k_pol": st.integers(0, 3),
+}
+_FREE_KEYS = {
+    "command": st.sampled_from(COMMANDS),
+    "half_width": _reals(0.1, 10.0),
+    "model": st.sampled_from(["example_paper", "plaplace", "choquard"]),
+    "seed": st.integers(0, 2**32).map(str),
+    "out": st.just("elsewhere"),
+    "mode": st.sampled_from(["greedy", "sweep", "random"]),
+    "tol": _reals(1e-12, 1.0),
+    "p": _reals(1.0, 4.0),
+    "c": st.lists(_reals(0.1, 4.0), min_size=1, max_size=2).map(", ".join),
+    "eta": _reals(1e-3, 2.0),
+    "grad_tol": _reals(1e-9, 1.0),
+    "init": st.sampled_from(["gaussian", "dilation_scan"]),
+}
+
+
+@st.composite
+def fuzz_config(draw):
+    """Every size key plus up to six other lines, in any order, with a
+    malformed value or line now and then; half the time a ``field`` line
+    names the fuzzed RFLD file."""
+    not_size = st.one_of(st.integers(-3, 0).map(str), _junk.filter(_not_int))
+    lines = [f"{key} = {draw(_mostly(value.map(str), not_size, 32))}"
+             for key, value in _SIZE_KEYS.items()]
+    for key in draw(st.lists(st.sampled_from(sorted(_FREE_KEYS)),
+                             max_size=6, unique=True)):
+        value = draw(_mostly(_FREE_KEYS[key], _junk, 16))
+        lines.append(draw(_mostly(st.just(f"{key} = {value}"), _junk, 16)))
+    if draw(st.booleans()):
+        lines.append("field = @FIELD@")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def fuzz_field(draw, dim=1, m=1, n=5, half_width=2.0):
+    """RFLD text for the given grid, with now and then free text, a
+    malformed header, a wrong value count or a malformed value."""
+    if draw(_mostly(st.just(False), st.just(True), 16)):
+        return draw(st.text(max_size=60))
+    magic = draw(_mostly(st.just("RFLD 1"), st.sampled_from(["RFLD 2", ""]),
+                         16))
+    m = draw(_mostly(st.just(m), st.just(0), 16))
+    n = draw(_mostly(st.just(n), st.just(n + 1), 16))
+    half_width = draw(_mostly(st.just(half_width), st.sampled_from(
+        [-half_width, math.inf, math.nan]), 16))
+    count = m * n**dim + draw(_mostly(st.just(0), st.sampled_from([-1, 1]),
+                                      16))
+    value = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300),
+                      st.floats(-1.0, 1.0))
+    values = draw(st.lists(_mostly(value.map(repr), _junk, 256),
+                           min_size=max(count, 0), max_size=max(count, 0)))
+    return f"{magic}\n{dim} {m} {n} {half_width!r}\n" \
+        + "\n".join(values) + "\n"
+
+
+@st.composite
+def field_case(draw):
+    """(config, RFLD text) for a run that reads the file, on a 1D or 2D
+    grid that the file mostly matches."""
+    dim, m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), \
+        draw(st.sampled_from([3, 5]))
+    half_width = draw(st.floats(0.5, 8.0))
+    mode = draw(st.sampled_from(["greedy", "sweep", "random"]))
+    config = (f"dim = {dim}\nn = {n}\nm = {m}\nhalf_width = {half_width!r}\n"
+              f"c = {', '.join(['1.0'] * m)}\nmode = {mode}\nmax_iter = 20\n"
+              f"max_steps = 2\nk_pol = 1\nfield = @FIELD@\n")
+    return config, draw(fuzz_field(dim, m, n, half_width))
+
+
+def run_main_quietly(command, config_text, field_text=""):
+    """Exit code and stderr of ``main`` in a fresh directory, where
+    ``@FIELD@`` in the config names the file holding ``field_text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        field_path = os.path.join(tmp, "in.rfld")
+        with open(field_path, "w") as fh:
+            fh.write(field_text)
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(config_text.replace("@FIELD@", field_path))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", cfg,
+                         "--out", os.path.join(tmp, "out")])
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert [ln.startswith("error:") for ln in err.splitlines()] == [True]
+
+
+class TestFuzzMain:
+    """``main`` on arbitrary configs and RFLD files keeps its exit-code
+    contract: 0, 1 or 2, no traceback, one ``error:`` line on exit 2."""
+
+    @given(st.sampled_from(COMMANDS), fuzz_config(), fuzz_field())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_config(self, command, config_text, field_text):
+        assert_exit_contract(*run_main_quietly(command, config_text,
+                                               field_text))
+
+    @given(st.sampled_from(COMMANDS), st.text(max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_free_text_config(self, command, text):
+        # the size keys come first, so free text that sets one again is a
+        # duplicate key, and text that parses runs on a 1D grid of 5 points
+        sizes = "".join(f"{key} = {value}\n" for key, value in (
+            ("dim", 1), ("n", 5), ("m", 1), ("max_iter", 10), ("trials", 2),
+            ("max_steps", 2), ("k_pol", 1)))
+        assert_exit_contract(*run_main_quietly(command, sizes + text))
+
+    @given(st.sampled_from(["symmetrize", "minimize"]), field_case())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_field_file(self, command, case):
+        assert_exit_contract(*run_main_quietly(command, *case))

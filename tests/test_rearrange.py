@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,10 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
-                                PolarizationSchedule, admissible_half_spaces,
+                                PolarizationSchedule, TraceRow, _objective,
+                                _rel_dists, admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
                                 polarize, polarize_multi, reflect, schwarz, schwarz_multi,
                                 symmetry_deficit)
+from polarmin.verify import random_bump_field
 
 SPEC_1D = make_grid(1, 5, 2.0)
 SPEC_2D = make_grid(2, 9, 2.0)
@@ -58,6 +61,47 @@ def oracle_polarize(vals, H, spec):
     return out.reshape(spec.shape)
 
 
+# Independent oracle for the driver: score every picked half-space afresh
+# on every iteration, keeping the best candidate field.
+def oracle_iterate(U0, schedule):
+    """(U, rows, status, accepted iterations)."""
+    family = admissible_half_spaces(U0.spec)
+    rng = np.random.default_rng(schedule.seed)
+    p = schedule.p
+    targets = [schwarz(c) for c in U0.components]
+    target_norms = [lp_norm(t, p) for t in targets]
+    U = U0.copy()
+    rows = [TraceRow(0, None, _rel_dists(U, targets, target_norms, p))]
+    accepted = []
+    if max(rows[0].rel_dist) <= schedule.tol:
+        return U, rows, "converged", accepted
+    obj = _objective(U, targets, p)
+    for it in range(1, schedule.max_iter + 1):
+        if schedule.mode == "sweep":
+            H = family[(it - 1) % len(family)]
+            cand = polarize_multi(U, H)
+            cand_obj = _objective(cand, targets, p)
+        elif schedule.mode == "random":
+            H = family[rng.integers(len(family))]
+            cand = polarize_multi(U, H)
+            cand_obj = _objective(cand, targets, p)
+        else:
+            picks = rng.choice(len(family),
+                               size=min(schedule.greedy_candidates, len(family)),
+                               replace=False)
+            H, cand, cand_obj = None, None, np.inf
+            for k in picks:
+                trial = polarize_multi(U, family[k])
+                trial_obj = _objective(trial, targets, p)
+                if trial_obj < cand_obj:
+                    H, cand, cand_obj = family[k], trial, trial_obj
+        if cand_obj < obj:
+            U, obj = cand, cand_obj
+            accepted.append(it)
+        rows.append(TraceRow(it, H, _rel_dists(U, targets, target_norms, p)))
+        if max(rows[-1].rel_dist) <= schedule.tol:
+            return U, rows, "converged", accepted
+    return U, rows, "max_iter_reached", accepted
 
 
 class TestHalfSpace:
@@ -312,6 +356,53 @@ class TestIteratePolarizations:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,normal,offset,rel_dist_1"
         assert lines[1].startswith("0,,")
+
+
+class TestIterateOracle:
+    @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
+                                      make_grid(2, 17, 2.0), SPEC_3D],
+                             ids=["1d-n9", "2d-n17", "3d-n7"])
+    @pytest.mark.parametrize("mode", ["greedy", "sweep", "random"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_identical(self, spec, mode, m):
+        for p, values in itertools.product((1.0, 2.0, 3.5),
+                                           ("random", "tied")):
+            rng = np.random.default_rng(m + 10 * int(p))
+            comps = []
+            for _ in range(m):
+                if values == "random":
+                    vals = rng.random(spec.shape)
+                else:
+                    vals = rng.integers(0, 3, spec.shape).astype(float)
+                comps.append(ScalarField(spec, vals))
+            U0 = MultiField(comps)
+            schedule = PolarizationSchedule(mode=mode, seed=m, max_iter=120,
+                                            tol=1e-12, p=p)
+            U, trace = iterate_polarizations(U0, schedule)
+            U_ref, rows_ref, status_ref, _ = oracle_iterate(U0, schedule)
+            case = (p, values)
+            assert trace.status == status_ref, case
+            assert trace.rows == rows_ref, case
+            for c, c_ref in zip(U.components, U_ref.components):
+                assert np.array_equal(c.values, c_ref.values), case
+
+    def test_each_half_space_scored_once_per_iterate(self):
+        spec = make_grid(2, 33, 4.0)
+        family = admissible_half_spaces(spec)
+        U0 = MultiField([random_bump_field(spec, np.random.default_rng(0))])
+        schedule = PolarizationSchedule(mode="greedy", seed=0, max_iter=600,
+                                        tol=1e-3)
+        _, trace = iterate_polarizations(U0, schedule)
+        _, rows_ref, _, accepted = oracle_iterate(U0, schedule)
+        assert trace.rows == rows_ref
+        picks = schedule.greedy_candidates
+        assert trace.candidates == picks * (len(trace.rows) - 1)
+        # up to the last acceptance at most every pick is scored; after it
+        # each half-space at most once; and each accepted one once more
+        bound = picks * accepted[-1] + len(family) + len(accepted)
+        assert trace.polarizations <= bound
+        # scoring every pick on every iteration would break the bound
+        assert picks * schedule.max_iter > bound
 
 
 class TestSymmetryDeficit:
