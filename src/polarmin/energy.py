@@ -23,7 +23,8 @@ class IntegrandJ:
 
     a1 is the coercivity constant in j(s, b) >= a1 * b^p; strictly_convex
     declares strict convexity of j(s, .).  depends_on_gradient=False marks
-    integrands that ignore b, for which polarization invariance is exact.
+    integrands that ignore b, for which polarization invariance is exact;
+    the checks in ``verify`` never build |Du| for them and pass zeros as b.
     """
 
     j: callable

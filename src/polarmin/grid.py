@@ -117,7 +117,15 @@ def lp_norm(field: ScalarField, p: float) -> float:
     if p < 1:
         raise ValueError("exponent out of range")
     v = np.sort(np.abs(field.values).ravel())
-    s = float(np.sum(v**p)) * field.spec.cell_volume
+    hN = field.spec.cell_volume
+    with np.errstate(over="ignore"):
+        s = float(np.sum(v**p)) * hN
+    if not np.isfinite(s):
+        # |u|^p overflows for finite fields (above about 1e154 at p=2):
+        # factor out the maximum.  Only overflowing sums take this branch,
+        # so every finite result keeps its bits.
+        top = v[-1]
+        return top * (float(np.sum((v / top) ** p)) * hN) ** (1.0 / p)
     return s ** (1.0 / p)
 
 
@@ -163,8 +171,12 @@ def gradient_components(field: ScalarField) -> list:
 def gradient_magnitude(field: ScalarField) -> ScalarField:
     """Pointwise Euclidean norm of the finite-difference gradient."""
     comps = gradient_components(field)
-    mag = np.sqrt(np.sum([c**2 for c in comps], axis=0))
-    return ScalarField(field.spec, mag)
+    # squares added in place, left to right: the order, and so the bits, of
+    # a sum over a stacked axis 0, without the stacked copy
+    s = np.square(comps[0], out=comps[0])
+    for c in comps[1:]:
+        s += np.square(c, out=c)
+    return ScalarField(field.spec, np.sqrt(s, out=s))
 
 
 # --- RFLD file format -------------------------------------------------------

@@ -289,11 +289,12 @@ def symmetry_report(U: MultiField, p: float) -> SymmetryDiagnostics:
     for comp in U.components:
         deficits.append(symmetry_deficit(comp, p)[0])
         star = schwarz(comp)
+        star_grad = gradient_magnitude(star)
         gaps.append(lp_norm(gradient_magnitude(comp), p)
-                    - lp_norm(gradient_magnitude(star), p))
+                    - lp_norm(star_grad, p))
         top = float(star.values.max())
         eps = 1e-8 * top
-        flat = gradient_magnitude(star).values < eps
+        flat = star_grad.values < eps
         interior = (star.values > eps) & (star.values < top - eps)
         plateaus.append(float(np.count_nonzero(flat & interior)) * hN)
     return SymmetryDiagnostics(tuple(deficits), tuple(gaps), tuple(plateaus))

@@ -8,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from polarmin.grid import (FieldFormatError, MultiField, ScalarField,
                            axis_derivative, axis_derivative_adjoint,
-                           distribution_function, gradient_magnitude, lp_norm,
-                           make_grid, read_field, write_field)
+                           distribution_function, gradient_components,
+                           gradient_magnitude, lp_norm, make_grid, read_field,
+                           write_field)
 
 
 def field_1d(values, half_width=2.0):
@@ -71,6 +72,36 @@ class TestLpNorm:
         for p in (1.5, 2.0, 3.0):
             assert lp_norm(u, p) == lp_norm(v, p)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_homogeneous_beyond_overflow(self, dim, p):
+        # |u|^p of values near 1e160 overflows at p >= 2
+        spec = make_grid(dim, 9, 2.0)
+        f = np.random.default_rng(dim).random(spec.shape)
+        c = 1e160
+        big = lp_norm(ScalarField(spec, c * f), p)
+        assert math.isfinite(big)
+        assert big == pytest.approx(c * lp_norm(ScalarField(spec, f), p),
+                                    rel=1e-14)
+        perm = np.random.default_rng(5).permutation(f.ravel())
+        assert lp_norm(ScalarField(spec, c * perm), p) == big
+
+    def test_finite_sums_keep_plain_formula_bits(self):
+        spec = make_grid(2, 9, 2.0)
+        rng = np.random.default_rng(11)
+        checked = 0
+        with np.errstate(over="ignore", under="ignore"):
+            for scale in (1e-100, 1.0, 1e80, 1e100, 1e150):
+                vals = scale * rng.standard_normal(spec.shape)
+                for p in (1.0, 1.5, 2.0, 3.5):
+                    v = np.sort(np.abs(vals).ravel())
+                    plain = float(np.sum(v**p)) * spec.cell_volume
+                    if math.isfinite(plain):
+                        assert (lp_norm(ScalarField(spec, vals), p)
+                                == plain ** (1.0 / p))
+                        checked += 1
+        assert checked == 18  # the other 2 of the 20 pairs overflow
+
 
 class TestDistributionFunction:
     def test_hand_value(self):
@@ -113,6 +144,16 @@ class TestDerivatives:
         b = gradient_magnitude(ScalarField(spec, grid_vals + c)).values
         # (u + c) differences cancel c only up to rounding of u + c itself
         assert np.allclose(a, b, atol=1e-13 * (1.0 + abs(c)))
+
+    @pytest.mark.parametrize("dim,n", [(1, 33), (2, 65), (3, 17), (3, 33)])
+    def test_magnitude_bits_of_stacked_sum(self, dim, n):
+        spec = make_grid(dim, n, 4.0)
+        rng = np.random.default_rng(n + dim)
+        for scale in (1e-3, 1.0, 1e3):
+            u = ScalarField(spec, scale * rng.standard_normal(spec.shape))
+            comps = gradient_components(u)
+            stacked = np.sqrt(np.sum([c**2 for c in comps], axis=0))
+            assert np.array_equal(gradient_magnitude(u).values, stacked)
 
     @given(arrays(np.float64, (7,), elements=st.floats(-3.0, 3.0)),
            arrays(np.float64, (7,), elements=st.floats(-3.0, 3.0)))

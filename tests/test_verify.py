@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin import models
+from polarmin import models, verify
 from polarmin.energy import IntegrandJ, LocalTermF
-from polarmin.grid import MultiField, ScalarField, make_grid
-from polarmin.rearrange import HalfSpace, admissible_half_spaces, schwarz
-from polarmin.verify import (check_local_monotonicity,
+from polarmin.grid import (MultiField, ScalarField, gradient_components,
+                           lp_norm, make_grid)
+from polarmin.rearrange import (HalfSpace, admissible_half_spaces, polarize,
+                                schwarz)
+from polarmin.verify import (SuiteLine, bump_params, check_local_monotonicity,
                              check_nonlocal_monotonicity,
                              check_polarization_invariance, check_polya_szego,
-                             equiintegrability_profile, grad_tol,
+                             equiintegrability_profile, eval_bumps, grad_tol,
                              random_bump_field, run_property_suite)
 
 SPEC_2D = make_grid(2, 9, 2.0)
@@ -33,6 +35,125 @@ def two_bump_field(n):
     d2b = np.sum((spec.coords - np.array([0.9, -0.7])) ** 2, axis=-1)
     vals = np.exp(-d2a / 0.72) + 0.7 * np.exp(-d2b / 0.5)
     return ScalarField(spec, vals)
+
+
+# Independent oracle for the property suite: the per-trial loop that builds
+# |Du| inside every integral (six times per trial, twice for the value-only
+# integrand that ignores it), with fields sampled from the full coordinate
+# array and gradients summed from a stacked array.
+def oracle_field(spec, params):
+    vals = np.zeros(spec.shape)
+    for center, width, amp in params:
+        d2 = np.sum((spec.coords - center) ** 2, axis=-1)
+        vals += amp * np.exp(-d2 / (2.0 * width**2))
+    return ScalarField(spec, vals)
+
+
+def oracle_integral(u, j):
+    b = np.sqrt(np.sum([c**2 for c in gradient_components(u)], axis=0))
+    vals = np.asarray(j.j(u.values, b))
+    return float(np.sum(np.sort(vals.ravel()))) * u.spec.cell_volume
+
+
+def oracle_suite(seed, trials, spec):
+    rng = np.random.default_rng(seed)
+    family = admissible_half_spaces(spec)
+    j_grad = IntegrandJ(j=lambda s, b: b**2, dj_ds=None, dj_db=None)
+    j_value = IntegrandJ(j=lambda s, b: np.abs(s) ** 2.0, dj_ds=None,
+                         dj_db=None, depends_on_gradient=False)
+    counters = {}
+
+    def record(check, passed, slack, tol):
+        line = counters.setdefault(check, SuiteLine(check, 0, 0, np.inf, tol))
+        line.trials += 1
+        line.passes += int(passed)
+        line.worst_slack = min(line.worst_slack, slack)
+
+    def invariance(u, j, H):
+        i_val = oracle_integral(u, j)
+        ih_val = oracle_integral(polarize(u, H), j)
+        tol = grad_tol(u.spec.h, i_val) if j.depends_on_gradient else 0.0
+        slack = 0.0 - abs(ih_val - i_val)
+        return slack >= -tol, slack, tol
+
+    for _ in range(trials):
+        u = oracle_field(spec, bump_params(rng, spec.dim, spec.half_width))
+        H = family[rng.integers(len(family))]
+        uh = polarize(u, H)
+        us = schwarz(u)
+
+        sorted_u = np.sort(u.values.ravel())
+        same = (np.array_equal(sorted_u, np.sort(uh.values.ravel()))
+                and np.array_equal(sorted_u, np.sort(us.values.ravel())))
+        record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
+
+        norm_match = (lp_norm(u, 2.0) == lp_norm(uh, 2.0)
+                      == lp_norm(us, 2.0))
+        record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
+
+        record("value_invariance_exact", *invariance(u, j_value, H))
+
+        prof = equiintegrability_profile(
+            [u, uh, us], 2.0, deltas=(0.1,), levels=(0.5,), radii=())
+        tails_const = (np.ptp(prof.small_value[:, 0]) == 0.0
+                       and np.ptp(prof.large_value[:, 0]) == 0.0)
+        record("value_tails_exact", tails_const,
+               0.0 if tails_const else -1.0, 0.0)
+
+        record("gradient_invariance_tol", *invariance(u, j_grad, H))
+
+        right = oracle_integral(u, j_grad)
+        left = oracle_integral(schwarz(u), j_grad)
+        tol = grad_tol(u.spec.h, right)
+        record("polya_szego_tol", right - left >= -tol, right - left, tol)
+
+    return list(counters.values())
+
+
+def suite_reprs(lines):
+    return [(ln.check, ln.trials, ln.passes, repr(ln.worst_slack),
+             repr(ln.tolerance)) for ln in lines]
+
+
+class TestSuiteOracle:
+    @pytest.mark.parametrize("spec", [make_grid(1, 33, 4.0),
+                                      make_grid(2, 17, 4.0),
+                                      make_grid(3, 9, 4.0)],
+                             ids=["1d-n33", "2d-n17", "3d-n9"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_lines(self, spec, seed):
+        # repr tells -0.0 from 0.0, which suite.csv prints as -0 and 0
+        got = run_property_suite(seed, 12, spec).lines
+        assert suite_reprs(got) == suite_reprs(oracle_suite(seed, 12, spec))
+
+    @staticmethod
+    def count_gradients(monkeypatch):
+        calls = []
+        real = verify.gradient_magnitude
+        monkeypatch.setattr(verify, "gradient_magnitude",
+                            lambda u: calls.append(1) or real(u))
+        return calls
+
+    def test_one_gradient_per_field(self, monkeypatch):
+        calls = self.count_gradients(monkeypatch)
+        trials = 4
+        run_property_suite(0, trials, make_grid(2, 17, 4.0))
+        assert len(calls) <= 3 * trials  # u, u^H and u*
+
+    def test_value_integrand_builds_no_gradient(self, monkeypatch):
+        calls = self.count_gradients(monkeypatch)
+        u = random_bump_field(SPEC_2D, np.random.default_rng(0))
+        rep = check_polarization_invariance(u, J_VALUE, HalfSpace((1, 0), 0.0))
+        assert calls == [] and rep.passed
+
+    @pytest.mark.parametrize("dim,n", [(1, 33), (2, 65), (3, 17), (3, 33)])
+    def test_eval_bumps_bits_of_coords_formula(self, dim, n):
+        spec = make_grid(dim, n, 4.0)
+        rng = np.random.default_rng(dim * n)
+        for _ in range(4):
+            params = bump_params(rng, dim, spec.half_width)
+            assert np.array_equal(eval_bumps(spec, params).values,
+                                  oracle_field(spec, params).values)
 
 
 class TestPolarizationInvariance:
