@@ -1,4 +1,4 @@
-"""Dilation scan plus projected descent for a catalogue model.
+"""Dilation scan plus constrained minimization for a catalogue model.
 
 Locates a negative-energy dilation of a random bump, symmetrizes it, runs
 the constrained minimizer, and writes the descent trace and diagnostics.
@@ -60,6 +60,7 @@ def main():
     last = res.trace[-1]
     lines = [f"status = {res.status}",
              f"steps = {len(res.trace) - 1}",
+             f"evaluations = {res.evaluations}",
              f"scan_best_energy = {best_energy:.6e}",
              f"final_energy = {last.total:.6e}"]
     for i in range(res.U.m):

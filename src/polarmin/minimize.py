@@ -1,12 +1,22 @@
-"""Constrained minimizer: projected gradient descent on L^p spheres with
-optional Schwarz-symmetrization interleave, plus multiplier/residual and
-symmetry diagnostics and the dilation scan."""
+"""Constrained minimizer on a product of L^p spheres with optional
+Schwarz-symmetrization interleave, plus multiplier/residual and symmetry
+diagnostics and the dilation scan.
+
+The descent direction is the Sobolev gradient P g with
+P = (1 - alpha Delta_h)^-1 (Danaila & Kazemi, SIAM J. Sci. Comput. 32, 2010),
+made tangent to each constraint sphere in the metric of P^-1; the step
+length is the Barzilai-Borwein step in the same metric (Barzilai & Borwein,
+IMA J. Numer. Anal. 8, 1988), made safe by clamping, projection and
+halving until the energy strictly decreases.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
+from scipy.fft import dstn, idstn
 from scipy.ndimage import map_coordinates
 
 from .energy import (EnergyBreakdown, EnergyModel, eval_total,
@@ -56,7 +66,12 @@ def discrete_gradient(U: MultiField, model: EnergyModel,
 
     for i, (u, integrand) in enumerate(zip(vals, model.js)):
         d = [axis_derivative(u, k, h) for k in range(spec.dim)]
-        b = np.sqrt(np.sum([dk**2 for dk in d], axis=0))
+        # squares added left to right, the order (and so the bits) of
+        # grid.gradient_magnitude
+        b = np.square(d[0])
+        for dk in d[1:]:
+            b += np.square(dk)
+        np.sqrt(b, out=b)
         grads[i] += hN * integrand.dj_ds(u, b)
         db = integrand.dj_db(u, b)
         safe = np.where(b > 0, b, 1.0)
@@ -82,37 +97,36 @@ def discrete_gradient(U: MultiField, model: EnergyModel,
 
 
 def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
-                 eta: float, energy: float | EnergyBreakdown | None = None,
-                 max_halvings: int = 30, grad: MultiField | None = None):
-    """One projected, clamped gradient step with energy backtracking.
+                 eta: float, energy: EnergyBreakdown, direction: MultiField,
+                 max_halvings: int = 30):
+    """One projected, clamped step along -direction with energy backtracking.
 
-    Returns (U_new, energy_new, eta_used, accepted).  The candidate is
-    max(U - eta*grad, 0) projected back onto the constraint spheres; eta is
-    halved until the energy decreases or the halving budget is exhausted.
+    energy is U's EnergyBreakdown.  The candidate is
+    max(U - eta*direction, 0) projected back onto the constraint spheres;
+    eta is halved until the energy strictly decreases or the halving budget
+    is exhausted.
 
-    energy is U's total energy or its EnergyBreakdown, whose potential then
-    gives the gradient; energy_new comes back in the same form.  grad, when
-    given, is discrete_gradient(U, model).
+    Returns (U_new, energy_new, eta_used, accepted, evaluations): the
+    accepted candidate and its EnergyBreakdown (U and energy when no
+    candidate was lower), the last step length tried, and the number of
+    candidates evaluated.
     """
-    as_breakdown = isinstance(energy, EnergyBreakdown)
-    bk = eval_total(U, model) if energy is None else energy
-    known = isinstance(bk, EnergyBreakdown)
-    level = bk.total if known else bk
-    if grad is None:
-        grad = discrete_gradient(U, model, bk.potential if known else None)
+    evaluations = 0
     for _ in range(max_halvings + 1):
-        comps = [ScalarField(U.spec, np.maximum(u.values - eta * g.values, 0.0))
-                 for u, g in zip(U.components, grad.components)]
-        try:
+        try:  # ValueError: a non-finite or an all-zero component
+            comps = [ScalarField(U.spec,
+                                 np.maximum(u.values - eta * d.values, 0.0))
+                     for u, d in zip(U.components, direction.components)]
             cand = project_constraints(MultiField(comps), c, model.p)
         except ValueError:
             eta *= 0.5
             continue
         cand_bk = eval_total(cand, model)
-        if cand_bk.total < level:
-            return cand, cand_bk if as_breakdown else cand_bk.total, eta, True
+        evaluations += 1
+        if cand_bk.total < energy.total:
+            return cand, cand_bk, eta, True, evaluations
         eta *= 0.5
-    return U, bk if as_breakdown else level, eta, False
+    return U, energy, eta, False, evaluations
 
 
 def lagrange_residual(U: MultiField, model: EnergyModel, p: float,
@@ -189,6 +203,10 @@ class MinimizeConfig:
 
 @dataclasses.dataclass
 class TraceStep:
+    """One row of the minimizer trace.  evaluations (eval_total calls) and
+    halvings (of the trial step length) stay in memory; trace_to_csv does
+    not write them."""
+
     step: int
     E1: float
     E2: float
@@ -197,6 +215,8 @@ class TraceStep:
     eta: float
     accepted: bool
     kind: str = "descent"  # descent | schwarz | initial
+    evaluations: int = 1
+    halvings: int = 0
 
 
 @dataclasses.dataclass
@@ -208,6 +228,7 @@ class MinimizeResult:
     deficits: tuple
     status: str  # converged | stalled | max_steps_reached
     warnings: list
+    evaluations: int  # eval_total calls over the whole run
 
     def trace_to_csv(self, path, header_comment=None) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -219,19 +240,85 @@ class MinimizeResult:
                          f"{t.total:.17g},{t.eta:.17g},{int(t.accepted)}\n")
 
 
-def minimize(config: MinimizeConfig) -> MinimizeResult:
-    """Projected gradient descent with Schwarz-symmetrization interleave.
+# alpha of the preconditioner P = (1 - alpha Delta_h)^-1, in squared length
+# units: P damps the modes finer than about sqrt(alpha), which carry the
+# h^-2 stiffness of the gradient term.
+SOBOLEV_ALPHA = 2.0
 
-    Every k_pol accepted steps the iterate is replaced by its component-wise
-    Schwarz rearrangement (re-projected); an energy increase beyond the
-    discretization tolerance is surfaced as a warning.  Each field is
-    evaluated once: its EnergyBreakdown fills the trace row and its
-    potential gives the gradient for the residual and the next step.
+
+def _sobolev_symbol(spec: GridSpec) -> np.ndarray:
+    """Eigenvalues of 1 - alpha Delta_h in the orthonormal DST-I basis.
+
+    Delta_h is the (2N+1)-point Laplacian with zero values outside the box;
+    on axis frequency k = 1..n its symbol is -(2/h^2)(1 - cos(pi k/(n+1))).
     """
-    model, c = config.model, config.constraints
-    U = project_constraints(config.initial, c, model.p)
+    n, h = spec.points_per_axis, spec.h
+    axis = (2.0 / h**2) * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
+    lap = np.zeros(spec.shape)
+    for k in range(spec.dim):
+        lap = lap + axis.reshape((n,) + (1,) * (spec.dim - 1 - k))
+    return 1.0 + SOBOLEV_ALPHA * lap
+
+
+def _dst(values: np.ndarray) -> np.ndarray:
+    return dstn(values, type=1, norm="ortho")
+
+
+def _tangent_direction(U: MultiField, grad: MultiField, p: float,
+                       symbol: np.ndarray):
+    """The P-metric tangent gradient and its P^-1 image, per component.
+
+    d_i = P g_i - mu_i P phi_i with phi_i = u_i |u_i|^(p-2) h^N, the
+    constraint normal, and mu_i = <P g_i, phi_i> / <P phi_i, phi_i>, so
+    that <d_i, phi_i> = 0.  mu_i comes from DST coefficients, where P is
+    diagonal; r_i = P^-1 d_i = g_i - mu_i phi_i needs no transform.
+    Returns (d as a MultiField, [r_i]).
+    """
+    hN = U.spec.cell_volume
+    dirs, rs = [], []
+    for u, g in zip(U.components, grad.components):
+        phi = u.values * np.abs(u.values) ** (p - 2.0) * hN
+        g_hat, phi_hat = _dst(g.values), _dst(phi)
+        p_phi_hat = phi_hat / symbol
+        mu = float(np.vdot(g_hat, p_phi_hat)) / float(np.vdot(phi_hat,
+                                                               p_phi_hat))
+        d = idstn(g_hat / symbol - mu * p_phi_hat, type=1, norm="ortho")
+        dirs.append(ScalarField(U.spec, d))
+        rs.append(g.values - mu * phi)
+    return MultiField(dirs), rs
+
+
+def _bb_step(s: list, y: list, symbol: np.ndarray) -> float | None:
+    """Barzilai-Borwein step sum <s_i, P^-1 s_i> / sum <s_i, y_i> shared by
+    all components, or None when the curvature sum <s, y> is not positive."""
+    sy = sum(float(np.vdot(si, yi)) for si, yi in zip(s, y))
+    if not sy > 0.0:
+        return None
+    return sum(float(np.vdot(symbol, _dst(si) ** 2)) for si in s) / sy
+
+
+def minimize(config: MinimizeConfig) -> MinimizeResult:
+    """Preconditioned Riemannian descent with Schwarz-symmetrization
+    interleave.
+
+    Each descent step moves along the P-metric tangent gradient
+    (_tangent_direction) with a Barzilai-Borwein trial step (config.eta for
+    the first step, and the last step length used whenever <s, y> <= 0),
+    then clamps, projects and halves as descent_step does.  Every k_pol
+    steps the iterate is replaced by its component-wise Schwarz
+    rearrangement (re-projected), the direction is recomputed and the trial
+    step kept; an energy increase beyond the discretization tolerance is
+    surfaced as a warning.  The run converges when the Euclidean
+    Euler-Lagrange residual (lagrange_residual) is at most grad_tol.  Each
+    field is evaluated once: its EnergyBreakdown fills the trace row and
+    its potential gives the gradient for the residual and the next step.
+    """
+    model, c, p = config.model, config.constraints, config.model.p
+    U = project_constraints(config.initial, c, p)
+    symbol = _sobolev_symbol(U.spec)
     bk = eval_total(U, model)
     grad = discrete_gradient(U, model, bk.potential)
+    direction, r = _tangent_direction(U, grad, p, symbol)
     trace = [TraceStep(0, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True, "initial")]
     warnings = []
     eta = config.eta
@@ -239,7 +326,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
 
     for step in range(1, config.max_steps + 1):
         if config.k_pol > 0 and step % config.k_pol == 0:
-            sym = project_constraints(schwarz_multi(U), c, model.p)
+            sym = project_constraints(schwarz_multi(U), c, p)
             sym_bk = eval_total(sym, model)
             tol = grad_tol(config.spec.h, bk.total)
             if sym_bk.total > bk.total + tol:
@@ -248,27 +335,34 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
                     f"{sym_bk.total - bk.total:.3e} (tol {tol:.3e})")
             U, bk = sym, sym_bk
             grad = discrete_gradient(U, model, bk.potential)
+            direction, r = _tangent_direction(U, grad, p, symbol)
             trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3,
                                    bk.total, 0.0, True, "schwarz"))
             continue
-        U, bk, eta_used, accepted = descent_step(U, model, c, eta, bk,
-                                                 grad=grad)
+        U_new, bk, eta_used, accepted, evaluations = descent_step(
+            U, model, c, eta, bk, direction)
         trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3, bk.total,
-                               eta_used, accepted))
+                               eta_used, accepted, "descent", evaluations,
+                               round(math.log2(eta / eta_used))))
         if not accepted:
             status = "stalled"
             break
-        eta = eta_used * 2.0  # allow the step size to recover
+        s = [a.values - b.values
+             for a, b in zip(U_new.components, U.components)]
+        U = U_new
         grad = discrete_gradient(U, model, bk.potential)
-        _, residuals = lagrange_residual(U, model, model.p, grad)
+        _, residuals = lagrange_residual(U, model, p, grad)
         if max(residuals) <= config.grad_tol:
             status = "converged"
             break
+        direction, r_new = _tangent_direction(U, grad, p, symbol)
+        bb = _bb_step(s, [a - b for a, b in zip(r_new, r)], symbol)
+        eta, r = (eta_used if bb is None else bb), r_new
 
-    lams, residuals = lagrange_residual(U, model, model.p, grad)
-    deficits = tuple(symmetry_deficit(comp, model.p)[0]
-                     for comp in U.components)
-    return MinimizeResult(U, trace, lams, residuals, deficits, status, warnings)
+    lams, residuals = lagrange_residual(U, model, p, grad)
+    deficits = tuple(symmetry_deficit(comp, p)[0] for comp in U.components)
+    return MinimizeResult(U, trace, lams, residuals, deficits, status,
+                          warnings, sum(t.evaluations for t in trace))
 
 
 @dataclasses.dataclass

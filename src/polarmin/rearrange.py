@@ -236,9 +236,31 @@ def _rel_dists(U: MultiField, targets, target_norms, p: float) -> tuple:
     return tuple(out)
 
 
-def _objective(U: MultiField, targets, p: float) -> float:
+def _objective_scale(targets, p: float) -> float | None:
+    """One scale for every candidate objective of an iterate_polarizations
+    run, or None when the plain sum cannot overflow.
+
+    Every iterate is a rearrangement of the targets' values, all
+    non-negative, so each |u - t| is at most max t.  Only fields where
+    size * (2 max t)^p overflows (max t above about 1e153 at p=2) are
+    scaled, by max t; the others keep the plain formula and its bits.
+    """
+    top = max(float(t.values.max()) for t in targets)
+    size = sum(t.values.size for t in targets)
+    with np.errstate(over="ignore"):
+        bound = size * np.float64(2.0 * top) ** p
+    return None if np.isfinite(bound) else top
+
+
+def _objective(U: MultiField, targets, p: float,
+               scale: float | None = None) -> float:
+    """sum_i sum |u_i - t_i|^p, divided by scale^p when scale is given."""
+    if scale is None:
+        return sum(
+            float(np.sum(np.abs(c.values - t.values) ** p))
+            for c, t in zip(U.components, targets))
     return sum(
-        float(np.sum(np.abs(c.values - t.values) ** p))
+        float(np.sum((np.abs(c.values - t.values) / scale) ** p))
         for c, t in zip(U.components, targets))
 
 
@@ -287,7 +309,8 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
         trace.status = "converged"
         return U, trace
 
-    obj = _objective(U, targets, p)
+    scale = _objective_scale(targets, p)
+    obj = _objective(U, targets, p, scale)
     scores = {}  # family index -> objective of U polarized by that half-space
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
@@ -302,7 +325,8 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
         H, best = None, np.inf
         for k in picks:
             if k not in scores:
-                scores[k] = _objective(polarize_multi(U, family[k]), targets, p)
+                scores[k] = _objective(polarize_multi(U, family[k]),
+                                       targets, p, scale)
                 trace.polarizations += 1
             if scores[k] < best:
                 H, best = family[k], scores[k]

@@ -189,14 +189,20 @@ class TestFieldInput:
                            "half_width = 4.0\nmax_iter = 30\n"
                            f"field = {path}\n")
         out = tmp_path / "out"
-        # the candidate objective (rearrange._objective) still overflows on
-        # such fields; the reported distance comes from lp_norm
-        with np.errstate(over="ignore", invalid="ignore"):
+        # |u - t|^2 overflows on such fields unless the candidate
+        # objective is scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["symmetrize", "--config", cfg,
                          "--out", str(out)]) == 0
+        dists = [float(row.split(",")[-1])
+                 for row in strip_comments(out / "trace.csv")[1:]]
         line = [ln for ln in (out / "summary.txt").read_text().splitlines()
                 if ln.startswith("final_rel_dist = ")]
-        assert math.isfinite(float(line[0].split(" = ")[1]))
+        final = float(line[0].split(" = ")[1])
+        assert dists[0] == pytest.approx(0.7848, abs=1e-4)
+        assert any(b < a for a, b in zip(dists, dists[1:]))
+        assert final == dists[-1] < dists[0]
 
     def test_grid_mismatch_rejected(self, tmp_path):
         spec = make_grid(1, 5, 4.0)

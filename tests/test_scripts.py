@@ -3,6 +3,7 @@ tiny arguments."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,16 +12,16 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script,args", [
-    ("convergence_floor.py", ["--n", "17", "--max-iter", "50"]),
+@pytest.mark.parametrize("script,args,expect", [
+    ("convergence_floor.py", ["--n", "17", "--max-iter", "50"], None),
     ("rearrangement_roughness.py", ["--dim", "1", "--fields", "3",
                                     "--resolutions", "17", "33",
                                     "--half-width", "8",
-                                    "--bump-half-width", "4"]),
+                                    "--bump-half-width", "4"], None),
     ("ground_state.py", ["--dim", "2", "--n", "9", "--max-steps", "5",
-                         "--out", "OUT"]),
+                         "--out", "OUT"], r"^evaluations = [1-9][0-9]*$"),
 ], ids=["convergence_floor", "rearrangement_roughness", "ground_state"])
-def test_script_runs(tmp_path, script, args):
+def test_script_runs(tmp_path, script, args, expect):
     args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -31,3 +32,5 @@ def test_script_runs(tmp_path, script, args):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
+    if expect is not None:
+        assert re.search(expect, proc.stdout, re.MULTILINE), proc.stdout
