@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -116,8 +117,12 @@ def lp_norm(field: ScalarField, p: float) -> float:
     """
     if p < 1:
         raise ValueError("exponent out of range")
-    v = np.sort(np.abs(field.values).ravel())
-    hN = field.spec.cell_volume
+    return _lp_norm_sorted(np.sort(np.abs(field.values), axis=None),
+                           p, field.spec.cell_volume)
+
+
+def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
+    """lp_norm from the ascending |values| v and the cell volume hN."""
     with np.errstate(over="ignore"):
         s = float(np.sum(v**p)) * hN
     if not np.isfinite(s):
@@ -221,8 +226,28 @@ def read_field(path) -> MultiField:
     except ValueError as err:
         raise FieldFormatError(f"line 2: {err}") from None
     expected = m * spec.num_points
+    # one pass over every token; the per-line loop runs only to name the
+    # line of the first bad or non-finite value (both use Python float, so
+    # both give the same bits)
+    tokens = chain.from_iterable(map(str.split, lines[2:]))
+    try:
+        data = np.fromiter(map(float, tokens), float)
+        valid = bool(np.all(np.isfinite(data)))
+    except ValueError:
+        valid = False
+    if not valid:
+        data = np.array(_parse_by_line(lines[2:]))
+    if data.size != expected:
+        raise FieldFormatError(f"expected {expected} values, got {data.size}")
+    data = data.reshape(m, *spec.shape)
+    return MultiField([ScalarField(spec, data[i]) for i in range(m)])
+
+
+def _parse_by_line(lines) -> list:
+    """Values of the data lines (file line 3 on), token by token; raises
+    FieldFormatError naming the line of the first bad or non-finite value."""
     raw = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines, start=3):
         for tok in line.split():
             try:
                 x = float(tok)
@@ -231,7 +256,4 @@ def read_field(path) -> MultiField:
             if not np.isfinite(x):
                 raise FieldFormatError(f"line {lineno}: non-finite value")
             raw.append(x)
-    if len(raw) != expected:
-        raise FieldFormatError(f"expected {expected} values, got {len(raw)}")
-    data = np.array(raw).reshape(m, *spec.shape)
-    return MultiField([ScalarField(spec, data[i]) for i in range(m)])
+    return raw

@@ -203,8 +203,10 @@ class MinimizeConfig:
 
 @dataclasses.dataclass
 class TraceStep:
-    """One row of the minimizer trace.  evaluations (eval_total calls) and
-    halvings (of the trial step length) stay in memory; trace_to_csv does
+    """One row of the minimizer trace.  evaluations (eval_total calls),
+    halvings (of the trial step length) and residual (the largest Euclidean
+    Euler-Lagrange residual of an accepted descent iterate; None on
+    initial, schwarz and stalled rows) stay in memory; trace_to_csv does
     not write them."""
 
     step: int
@@ -217,6 +219,7 @@ class TraceStep:
     kind: str = "descent"  # descent | schwarz | initial
     evaluations: int = 1
     halvings: int = 0
+    residual: float | None = None
 
 
 @dataclasses.dataclass
@@ -341,9 +344,10 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
             continue
         U_new, bk, eta_used, accepted, evaluations = descent_step(
             U, model, c, eta, bk, direction)
-        trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3, bk.total,
-                               eta_used, accepted, "descent", evaluations,
-                               round(math.log2(eta / eta_used))))
+        row = TraceStep(step, bk.E1, bk.E2, bk.E3, bk.total, eta_used,
+                        accepted, "descent", evaluations,
+                        round(math.log2(eta / eta_used)))
+        trace.append(row)
         if not accepted:
             status = "stalled"
             break
@@ -352,7 +356,8 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         U = U_new
         grad = discrete_gradient(U, model, bk.potential)
         _, residuals = lagrange_residual(U, model, p, grad)
-        if max(residuals) <= config.grad_tol:
+        row.residual = max(residuals)
+        if row.residual <= config.grad_tol:
             status = "converged"
             break
         direction, r_new = _tangent_direction(U, grad, p, symbol)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .energy import CouplingG, EnergyModel, IntegrandJ, KernelV, _require_finite
 from .energy import nonlocal_quadratic
-from .grid import (GridSpec, MultiField, ScalarField, gradient_magnitude,
-                   lp_norm)
+from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
+                   gradient_magnitude)
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
                         polarize_multi, schwarz)
 
@@ -172,6 +172,10 @@ def equiintegrability_profile(fields, r: float, deltas, levels, radii) -> TailPr
     spec = fields[0].spec
     if any(f.spec != spec for f in fields):
         raise ValueError("fields must share one grid")
+    if r < 0:
+        raise ValueError("exponent must be non-negative")
+    if np.isnan(np.asarray([*deltas, *levels], dtype=float)).any():
+        raise ValueError("thresholds must not be nan")
     hN = spec.cell_volume
     rad = spec.radii
     small = np.zeros((len(fields), len(deltas)))
@@ -179,17 +183,37 @@ def equiintegrability_profile(fields, r: float, deltas, levels, radii) -> TailPr
     ext = np.zeros((len(fields), len(radii)))
     for i, f in enumerate(fields):
         a = np.abs(f.values)
+        small[i], large[i] = _value_tails(np.sort(a, axis=None), r, deltas,
+                                          levels, hN)
         ar = a**r
-        # sorted accumulation keeps value-based tails bit-identical across
-        # equimeasurable fields
-        for k, d in enumerate(deltas):
-            small[i, k] = float(np.sum(np.sort(ar[a < d]))) * hN
-        for k, lv in enumerate(levels):
-            large[i, k] = float(np.sum(np.sort(ar[a > lv]))) * hN
         for k, R in enumerate(radii):
             ext[i, k] = float(np.sum(ar[rad > R])) * hN
     return TailProfile(r, tuple(deltas), tuple(levels), tuple(radii),
                        small, large, ext)
+
+
+def _value_tails(a: np.ndarray, r: float, deltas, levels, hN: float):
+    """Tail masses sum |v|^r h^N over {|v| < delta} and over {|v| > level},
+    from the ascending |values| a.
+
+    For r >= 0, x -> x^r is nondecreasing on x >= 0, so a**r is ascending
+    and each tail is a slice of it: a prefix ending at searchsorted(side=
+    "left"), a suffix starting at searchsorted(side="right").  Summing in
+    ascending order keeps the tails bit-identical across equimeasurable
+    fields.  Returns ([small per delta], [large per level]).
+    """
+    ar = a**r
+    small = [float(np.sum(ar[:np.searchsorted(a, d, side="left")])) * hN
+             for d in deltas]
+    large = [float(np.sum(ar[np.searchsorted(a, lv, side="right"):])) * hN
+             for lv in levels]
+    return small, large
+
+
+def _ascending_abs(v: np.ndarray) -> np.ndarray:
+    """|v| in ascending order, from the ascending values v: taking |.|
+    keeps the order unless v has negative entries, which cost a sort."""
+    return np.sort(np.abs(v)) if v[0] < 0 else np.abs(v)
 
 
 # --- random fields and the aggregated property suite ------------------------
@@ -267,6 +291,16 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
                         dj_db=lambda s, b: 2.0 * b)
     j_value = _gradient_free_power(2.0)
 
+    hN = spec.cell_volume
+
+    def value_integral(a):
+        # j_value(s) = |s|^2 is nondecreasing in |s|, so over the ascending
+        # |values| a its terms are already in the ascending order that
+        # _j_integral sums them in
+        vals = j_value.j(a, np.zeros_like(a))
+        _require_finite(vals, "integrand")
+        return float(np.sum(vals)) * hN
+
     counters = {}
 
     def record(check, passed, slack, tol):
@@ -282,23 +316,28 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         uh = polarize(u, H)
         us = schwarz(u)
 
-        sorted_u = np.sort(u.values.ravel())
-        same = (np.array_equal(sorted_u, np.sort(uh.values.ravel()))
-                and np.array_equal(sorted_u, np.sort(us.values.ravel())))
+        # one sort per field serves every value-class check; the three
+        # sorts stay independent, since equimeasurability compares them
+        sorted_u, sorted_uh, sorted_us = (np.sort(f.values, axis=None)
+                                          for f in (u, uh, us))
+        same = (np.array_equal(sorted_u, sorted_uh)
+                and np.array_equal(sorted_u, sorted_us))
         record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
+        abs_u, abs_uh, abs_us = (_ascending_abs(v)
+                                 for v in (sorted_u, sorted_uh, sorted_us))
 
-        norm_match = (lp_norm(u, 2.0) == lp_norm(uh, 2.0)
-                      == lp_norm(us, 2.0))
+        norm_match = (_lp_norm_sorted(abs_u, 2.0, hN)
+                      == _lp_norm_sorted(abs_uh, 2.0, hN)
+                      == _lp_norm_sorted(abs_us, 2.0, hN))
         record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
 
-        rep = _invariance_report(spec, j_value, _j_integral(u, j_value),
-                                 _j_integral(uh, j_value), DEFAULT_C_TOL)
+        rep = _invariance_report(spec, j_value, value_integral(abs_u),
+                                 value_integral(abs_uh), DEFAULT_C_TOL)
         record("value_invariance_exact", rep.passed, rep.slack, rep.tolerance)
 
-        prof = equiintegrability_profile(
-            [u, uh, us], 2.0, deltas=(0.1,), levels=(0.5,), radii=())
-        tails_const = (np.ptp(prof.small_value[:, 0]) == 0.0
-                       and np.ptp(prof.large_value[:, 0]) == 0.0)
+        small, large = zip(*(_value_tails(a, 2.0, (0.1,), (0.5,), hN)
+                             for a in (abs_u, abs_uh, abs_us)))
+        tails_const = np.ptp(small) == 0.0 and np.ptp(large) == 0.0
         record("value_tails_exact", tails_const,
                0.0 if tails_const else -1.0, 0.0)
 

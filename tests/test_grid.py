@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,4 +213,57 @@ class TestFieldFile:
         path = tmp_path / "u.rfld"
         path.write_text("RFLD 1\n1 1 3 1.0\n0\nxyz\n0\n")
         with pytest.raises(FieldFormatError, match="line 4"):
+            read_field(path)
+
+    @staticmethod
+    def per_token_values(path):
+        # the token-by-token parse that read_field replaces with one pass
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        return np.array([float(tok) for line in lines[2:]
+                         for tok in line.split()])
+
+    def test_values_bits_of_per_token_parse(self, tmp_path):
+        spec = make_grid(3, 9, 2.5)
+        rng = np.random.default_rng(11)
+        U = MultiField([ScalarField(spec, rng.standard_normal(spec.shape)
+                                    * 10.0 ** rng.uniform(-300, 300,
+                                                          spec.shape))
+                        for _ in range(2)])
+        path = tmp_path / "u.rfld"
+        write_field(U, path)
+        # also several tokens per line, tabs and blank lines
+        text = path.read_text().splitlines()
+        rows = ["\t".join(text[i:i + 5]) for i in range(2, len(text), 5)]
+        packed = tmp_path / "packed.rfld"
+        packed.write_text("\n".join(text[:2] + rows + ["", "  "]) + "\n")
+        for p in (path, packed):
+            got = np.concatenate([c.values.ravel()
+                                  for c in read_field(p).components])
+            want = self.per_token_values(p)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tokens,match", [
+        ({1200: "1.0.0"}, "line 1203: bad value '1.0.0'"),
+        ({54: "nan"}, "line 57: non-finite value"),
+        ({1999: "-inf"}, "line 2002: non-finite value"),
+        ({1500: "inf", 1700: "x"}, "line 1503: non-finite value"),
+        ({1500: "x", 1700: "nan"}, "line 1503: bad value 'x'"),
+    ], ids=["bad-past-1000", "nan", "inf", "inf-first", "bad-first"])
+    def test_bad_value_names_its_line(self, tmp_path, tokens, match):
+        spec = make_grid(3, 13, 1.0)  # 2197 values, one per line
+        vals = [repr(x) for x in
+                np.linspace(0.0, 1.0, spec.num_points).tolist()]
+        for i, tok in tokens.items():
+            vals[i] = tok
+        path = tmp_path / "u.rfld"
+        path.write_text("RFLD 1\n3 1 13 1.0\n" + "\n".join(vals) + "\n")
+        with pytest.raises(FieldFormatError, match=f"^{re.escape(match)}$"):
+            read_field(path)
+
+    def test_count_mismatch_too_many(self, tmp_path):
+        path = tmp_path / "u.rfld"
+        path.write_text("RFLD 1\n1 1 3 2.0\n0 1 2\n3\n")
+        with pytest.raises(FieldFormatError,
+                           match="^expected 3 values, got 4$"):
             read_field(path)

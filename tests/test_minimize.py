@@ -218,6 +218,24 @@ class TestDescentAndMinimize:
                     if t.kind == "descent" and t.accepted]
         assert all(b <= a for a, b in zip(descents, descents[1:]))
 
+    def test_trace_residual_per_step(self):
+        spec = make_grid(1, 33, 4.0)
+        c = ConstraintVector((1.0,))
+        U0 = project_constraints(
+            MultiField([random_bump_field(spec, np.random.default_rng(3))]),
+            c, 2.0)
+        res = minimize(MinimizeConfig(model=confined_toy_model(),
+                                      constraints=c, spec=spec, initial=U0,
+                                      eta=0.1, max_steps=4000, grad_tol=1e-4,
+                                      k_pol=5))
+        assert res.status == "converged"
+        descents = [t for t in res.trace if t.kind == "descent"]
+        assert descents[-1].residual == max(res.residuals)
+        assert all(t.residual > 1e-4 for t in descents[:-1])
+        assert all(t.residual is None for t in res.trace
+                   if t.kind != "descent")
+        assert any(t.kind == "schwarz" for t in res.trace)
+
     def test_trace_csv(self, tmp_path):
         spec = make_grid(1, 17, 4.0)
         model = confined_toy_model()
@@ -305,7 +323,7 @@ class TestEvaluationReuse:
         assert [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, t.accepted,
                  t.kind) for t in res.trace] == rows
         stalled, before = res.trace[-1], res.trace[-2]
-        assert not stalled.accepted
+        assert not stalled.accepted and stalled.residual is None
         assert (stalled.E1, stalled.E2, stalled.E3) == (
             before.E1, before.E2, before.E3)
         assert np.array_equal(res.U.components[0].values,

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from polarmin import models, verify
 from polarmin.energy import IntegrandJ, LocalTermF
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
-                           lp_norm, make_grid)
+                           make_grid)
 from polarmin.rearrange import (HalfSpace, admissible_half_spaces, polarize,
                                 schwarz)
 from polarmin.verify import (SuiteLine, bump_params, check_local_monotonicity,
@@ -28,6 +28,14 @@ J_VALUE = IntegrandJ(j=lambda s, b: s**2,
 
 nonneg_2d = arrays(np.float64, (9, 9), elements=st.floats(0.0, 5.0))
 
+# values that hit the thresholds exactly, zeros of both signs and repeats
+TAIL_VALUES = [0.0, -0.0, 0.1, 0.5, 1.0, -1.0, 2.0, -2.5]
+tail_field_2d = arrays(np.float64, (9, 9),
+                       elements=st.sampled_from(TAIL_VALUES)
+                       | st.floats(-3.0, 3.0))
+tail_threshold = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 2.5]) | st.floats(
+    0.0, 3.0)
+
 
 def two_bump_field(n):
     spec = make_grid(2, n, 4.0)
@@ -40,7 +48,8 @@ def two_bump_field(n):
 # Independent oracle for the property suite: the per-trial loop that builds
 # |Du| inside every integral (six times per trial, twice for the value-only
 # integrand that ignores it), with fields sampled from the full coordinate
-# array and gradients summed from a stacked array.
+# array, gradients summed from a stacked array, the L^p norm and the value
+# tails each sorting the field again.
 def oracle_field(spec, params):
     vals = np.zeros(spec.shape)
     for center, width, amp in params:
@@ -53,6 +62,37 @@ def oracle_integral(u, j):
     b = np.sqrt(np.sum([c**2 for c in gradient_components(u)], axis=0))
     vals = np.asarray(j.j(u.values, b))
     return float(np.sum(np.sort(vals.ravel()))) * u.spec.cell_volume
+
+
+def oracle_lp_norm(u, p):
+    v = np.sort(np.abs(u.values).ravel())
+    hN = u.spec.cell_volume
+    with np.errstate(over="ignore"):
+        s = float(np.sum(v**p)) * hN
+    if not np.isfinite(s):
+        top = v[-1]
+        return top * (float(np.sum((v / top) ** p)) * hN) ** (1.0 / p)
+    return s ** (1.0 / p)
+
+
+def oracle_tails(fields, r, deltas, levels, radii):
+    """(small, large, exterior) of equiintegrability_profile, one mask and
+    one sort per field and threshold."""
+    hN = fields[0].spec.cell_volume
+    rad = fields[0].spec.radii
+    small = np.zeros((len(fields), len(deltas)))
+    large = np.zeros((len(fields), len(levels)))
+    ext = np.zeros((len(fields), len(radii)))
+    for i, f in enumerate(fields):
+        a = np.abs(f.values)
+        ar = a**r
+        for k, d in enumerate(deltas):
+            small[i, k] = float(np.sum(np.sort(ar[a < d]))) * hN
+        for k, lv in enumerate(levels):
+            large[i, k] = float(np.sum(np.sort(ar[a > lv]))) * hN
+        for k, R in enumerate(radii):
+            ext[i, k] = float(np.sum(ar[rad > R])) * hN
+    return small, large, ext
 
 
 def oracle_suite(seed, trials, spec):
@@ -87,16 +127,16 @@ def oracle_suite(seed, trials, spec):
                 and np.array_equal(sorted_u, np.sort(us.values.ravel())))
         record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
 
-        norm_match = (lp_norm(u, 2.0) == lp_norm(uh, 2.0)
-                      == lp_norm(us, 2.0))
+        norm_match = (oracle_lp_norm(u, 2.0) == oracle_lp_norm(uh, 2.0)
+                      == oracle_lp_norm(us, 2.0))
         record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
 
         record("value_invariance_exact", *invariance(u, j_value, H))
 
-        prof = equiintegrability_profile(
-            [u, uh, us], 2.0, deltas=(0.1,), levels=(0.5,), radii=())
-        tails_const = (np.ptp(prof.small_value[:, 0]) == 0.0
-                       and np.ptp(prof.large_value[:, 0]) == 0.0)
+        small, large, _ = oracle_tails([u, uh, us], 2.0, deltas=(0.1,),
+                                       levels=(0.5,), radii=())
+        tails_const = (np.ptp(small[:, 0]) == 0.0
+                       and np.ptp(large[:, 0]) == 0.0)
         record("value_tails_exact", tails_const,
                0.0 if tails_const else -1.0, 0.0)
 
@@ -125,6 +165,24 @@ class TestSuiteOracle:
         # repr tells -0.0 from 0.0, which suite.csv prints as -0 and 0
         got = run_property_suite(seed, 12, spec).lines
         assert suite_reprs(got) == suite_reprs(oracle_suite(seed, 12, spec))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_lines_benchmark_grid(self, seed):
+        # the grid of the benchmark's verify run
+        spec = make_grid(3, 33, 4.0)
+        got = run_property_suite(seed, 3, spec).lines
+        assert suite_reprs(got) == suite_reprs(oracle_suite(seed, 3, spec))
+
+    def test_one_sort_per_field_and_gradient(self, monkeypatch):
+        calls = []
+        real = np.sort
+        monkeypatch.setattr(np, "sort",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        trials = 4
+        run_property_suite(0, trials, make_grid(2, 17, 4.0))
+        # u, u^H and u* once each for the value checks, once each under
+        # the gradient integrals, and once inside schwarz
+        assert len(calls) <= 7 * trials
 
     @staticmethod
     def count_gradients(monkeypatch):
@@ -285,6 +343,21 @@ class TestEquiintegrability:
         assert prof.exterior[1, 0] <= prof.exterior[0, 0] + 1e-12
         assert prof.sup_exterior[0] == prof.exterior[:, 0].max()
 
+    @given(st.lists(tail_field_2d, min_size=1, max_size=3),
+           st.sampled_from([1.0, 1.5, 2.0]),
+           st.lists(tail_threshold, max_size=3),
+           st.lists(tail_threshold, max_size=3),
+           st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_threshold_oracle(self, vals, r, deltas, levels,
+                                          radii):
+        fields = [ScalarField(SPEC_2D, v) for v in vals]
+        prof = equiintegrability_profile(fields, r, deltas, levels, radii)
+        small, large, ext = oracle_tails(fields, r, deltas, levels, radii)
+        assert np.array_equal(prof.small_value, small)
+        assert np.array_equal(prof.large_value, large)
+        assert np.array_equal(prof.exterior, ext)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             equiintegrability_profile([], 2.0, (), (), ())
@@ -292,6 +365,10 @@ class TestEquiintegrability:
         b = ScalarField(make_grid(1, 7, 1.0), np.ones(7))
         with pytest.raises(ValueError, match="share one grid"):
             equiintegrability_profile([a, b], 2.0, (), (), ())
+        with pytest.raises(ValueError, match="non-negative"):
+            equiintegrability_profile([a], -1.0, (), (), ())
+        with pytest.raises(ValueError, match="nan"):
+            equiintegrability_profile([a], 2.0, (0.5, np.nan), (), ())
 
 
 class TestPropertySuite:
