@@ -10,13 +10,11 @@ from .rearrange import (ConvergenceTrace, HalfSpace, PolarizationSchedule,
                         schwarz_multi, symmetry_deficit)
 from .energy import (AssumptionReport, CouplingG, EnergyBreakdown,
                      EnergyModel, IntegrandJ, KernelV, LocalTermF,
-                     NonlocalOperator, check_assumptions, eval_E1, eval_E2,
-                     eval_E3, eval_total, nonlocal_operator,
-                     nonlocal_potential, nonlocal_quadratic, sample_kernel)
+                     NonlocalOperator, check_assumptions, discrete_gradient,
+                     eval_total, nonlocal_operator, sample_kernel)
 from .minimize import (ConstraintVector, MinimizeConfig, MinimizeResult,
-                       descent_step, dilate, dilation_scan, discrete_gradient,
-                       lagrange_residual, minimize, project_constraints,
-                       symmetry_report)
+                       descent_step, dilate, dilation_scan, lagrange_residual,
+                       minimize, project_constraints, symmetry_report)
 from .verify import (InequalityReport, TailProfile,
                      check_local_monotonicity, check_nonlocal_monotonicity,
                      check_polarization_invariance, check_polya_szego,

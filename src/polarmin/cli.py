@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .grid import MultiField, make_grid, read_field, write_field
 from .minimize import (ConstraintVector, MinimizeConfig, dilation_scan,
-                       minimize, symmetry_report)
+                       minimize, project_constraints, symmetry_report)
 from .rearrange import PolarizationSchedule, iterate_polarizations
 from .verify import check_polya_szego, random_bump_field, run_property_suite
 
@@ -210,8 +210,6 @@ def _run_minimize(cfg: RunConfig, out: str) -> int:
     cvec = ConstraintVector(cfg.constraint_vector)
     if len(cvec.c) != model.m:
         raise ConfigError("constraint vector length must match m")
-    from .minimize import project_constraints
-
     U0 = project_constraints(_initial_field(cfg, spec, rng), cvec, model.p)
     scan_lines = []
     if cfg.init == "dilation_scan":

@@ -14,7 +14,9 @@ import dataclasses
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .grid import GridSpec, MultiField, ScalarField, gradient_magnitude, make_grid
+from .grid import (GridSpec, MultiField, ScalarField, _magnitude,
+                   axis_derivative_adjoint, gradient_components,
+                   gradient_magnitude, make_grid)
 
 
 @dataclasses.dataclass
@@ -118,27 +120,6 @@ def _require_finite(vals: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(vals)):
         idx = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
         raise ValueError(f"{what} produced non-finite value at {idx}")
-
-
-def eval_E1(U: MultiField, model: EnergyModel) -> float:
-    if len(U.components) != model.m:
-        raise ValueError("component count does not match model")
-    total = 0.0
-    for comp, integrand in zip(U.components, model.js):
-        b = gradient_magnitude(comp).values
-        vals = integrand.j(comp.values, b)
-        _require_finite(np.asarray(vals), "integrand")
-        total += float(np.sum(vals))
-    return total * U.spec.cell_volume
-
-
-def eval_E2(U: MultiField, model: EnergyModel) -> float:
-    if model.F is None:
-        return 0.0
-    r = U.spec.radii
-    vals = model.F.f(r, [c.values for c in U.components])
-    _require_finite(np.asarray(vals), "integrand")
-    return -float(np.sum(vals)) * U.spec.cell_volume
 
 
 def origin_value(V: KernelV, spec: GridSpec) -> float:
@@ -263,12 +244,6 @@ def nonlocal_operator(V: KernelV, spec: GridSpec) -> NonlocalOperator:
     return op
 
 
-def coupling_density(U: MultiField, model: EnergyModel) -> np.ndarray:
-    g = model.G.g([c.values for c in U.components])
-    _require_finite(np.asarray(g), "coupling")
-    return np.asarray(g, dtype=np.float64)
-
-
 def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
                     method: str = "fft") -> np.ndarray:
     """Free-space linear convolution sum_y V(|x - y|) g(y) (no volume factor).
@@ -284,37 +259,78 @@ def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
     raise ValueError(f"unknown method {method!r}")
 
 
-def nonlocal_potential(U: MultiField, model: EnergyModel,
-                       method: str = "fft") -> np.ndarray:
-    """The potential V*g of U's coupling density g (no volume factor)."""
-    return kernel_convolve(coupling_density(U, model),
-                           nonlocal_operator(model.V, U.spec), method)
-
-
-def _nonlocal_energy(U: MultiField, model: EnergyModel, method: str):
-    """(E3, V*g) of U; (0.0, None) without a nonlocal term."""
-    if model.G is None:
-        return 0.0, None
-    g = coupling_density(U, model)
-    conv = kernel_convolve(g, nonlocal_operator(model.V, U.spec), method)
-    return -float(np.sum(g * conv)) * U.spec.cell_volume**2, conv
-
-
-def nonlocal_quadratic(U: MultiField, model: EnergyModel,
-                       method: str = "fft") -> float:
-    """Positive double sum Q(U) = h^2N sum_xy g(x) V(|x-y|) g(y)."""
-    return -_nonlocal_energy(U, model, method)[0]
-
-
-def eval_E3(U: MultiField, model: EnergyModel, method: str = "fft") -> float:
-    return _nonlocal_energy(U, model, method)[0]
-
-
 def eval_total(U: MultiField, model: EnergyModel,
                method: str = "fft") -> EnergyBreakdown:
-    E3, potential = _nonlocal_energy(U, model, method)
-    return EnergyBreakdown(eval_E1(U, model), eval_E2(U, model), E3,
-                           potential)
+    """E1, E2 and E3 of U and the potential V*g behind E3.
+
+    E1 = h^N sum_i sum_x j_i(u_i, |Du_i|) with |Du_i| from
+    gradient_magnitude, E2 = -h^N sum_x F(|x|, U) and
+    E3 = -h^2N sum_x g(x) (V*g)(x) with g = G(U); method selects the
+    kernel_convolve path of V*g.  E3 is evaluated first.
+    """
+    if len(U.components) != model.m:
+        raise ValueError("component count does not match model")
+    spec = U.spec
+    hN = spec.cell_volume
+    vals = [c.values for c in U.components]
+    E3, potential = 0.0, None
+    if model.G is not None:
+        g = np.asarray(model.G.g(vals), dtype=np.float64)
+        _require_finite(g, "coupling")
+        potential = kernel_convolve(g, nonlocal_operator(model.V, spec),
+                                    method)
+        E3 = -float(np.sum(g * potential)) * hN**2
+    E1 = 0.0
+    for comp, integrand in zip(U.components, model.js):
+        j = integrand.j(comp.values, gradient_magnitude(comp).values)
+        _require_finite(np.asarray(j), "integrand")
+        E1 += float(np.sum(j))
+    E2 = 0.0
+    if model.F is not None:
+        f = model.F.f(spec.radii, vals)
+        _require_finite(np.asarray(f), "integrand")
+        E2 = -float(np.sum(f)) * hN
+    return EnergyBreakdown(E1 * hN, E2, E3, potential)
+
+
+def discrete_gradient(U: MultiField, model: EnergyModel,
+                      energy: EnergyBreakdown) -> MultiField:
+    """Exact gradient of the discrete energy with respect to grid values.
+
+    energy is eval_total(U, model); its potential V*g gives the E3 part.
+    E1 differentiates through the finite-difference stencils of
+    gradient_magnitude; E2 is pointwise; E3 contributes
+    -2 h^2N (V * g) dG/ds_i (the factor 2 comes from the symmetric double
+    sum).
+    """
+    spec = U.spec
+    h, hN = spec.h, spec.cell_volume
+    vals = [c.values for c in U.components]
+    grads = [np.zeros(spec.shape) for _ in range(U.m)]
+
+    for i, (comp, integrand) in enumerate(zip(U.components, model.js)):
+        u, d = comp.values, gradient_components(comp)
+        b = _magnitude(d)
+        grads[i] += hN * integrand.dj_ds(u, b)
+        db = integrand.dj_db(u, b)
+        safe = np.where(b > 0, b, 1.0)
+        for k in range(spec.dim):
+            # dj_db * d_k u / |Du|, with zero direction where the gradient
+            # vanishes (there d_k u = 0 as well)
+            w = db * np.where(b > 0, d[k] / safe, 0.0)
+            grads[i] += hN * axis_derivative_adjoint(w, k, h)
+
+    if model.F is not None:
+        df = model.F.df_ds(spec.radii, vals)
+        for i in range(U.m):
+            grads[i] -= hN * np.asarray(df[i])
+
+    if model.G is not None:
+        dg = model.G.dg_ds(vals)
+        for i in range(U.m):
+            grads[i] -= 2.0 * hN**2 * energy.potential * np.asarray(dg[i])
+
+    return MultiField([ScalarField(spec, gi) for gi in grads])
 
 
 # --- sampled verification of the structural assumptions ---------------------
@@ -356,6 +372,25 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
     p = model.p
     checks = []
 
+    def split(s):
+        return [s[i] for i in range(m)]
+
+    def supermodular_pair(rng, fn, y, hh, kk):
+        """Components (i, j), drawn from rng, with
+        fn(y + hh e_i + kk e_j) + fn(y) < fn(y + hh e_i) + fn(y + kk e_j),
+        or None; nothing is drawn for m < 2."""
+        if m < 2:
+            return None
+        i, jdx = rng.choice(m, size=2, replace=False)
+        ya, yb, yc = y.copy(), y.copy(), y.copy()
+        ya[i] += hh
+        ya[jdx] += kk
+        yb[i] += hh
+        yc[jdx] += kk
+        if fn(ya) + fn(y) < fn(yb) + fn(yc) - _EPS:
+            return int(i), int(jdx)
+        return None
+
     def run(name, sampler):
         for _ in range(trials):
             witness = sampler(rng)
@@ -396,9 +431,6 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
     if model.F is not None:
         F = model.F
 
-        def split(s):
-            return [s[i] for i in range(m)]
-
         def f0(rng):
             r = rng.uniform(0, 5)
             s = rng.uniform(-3, 3, size=m)
@@ -419,17 +451,10 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
             r = rng.uniform(0, 5)
             y = rng.uniform(0, 3, size=m)
             hh, kk = rng.uniform(0, 2, size=2)
-            if m >= 2:
-                i, jdx = rng.choice(m, size=2, replace=False)
-                ya, yb, yc = y.copy(), y.copy(), y.copy()
-                ya[i] += hh
-                ya[jdx] += kk
-                yb[i] += hh
-                yc[jdx] += kk
-                lhs = F.f(r, split(ya)) + F.f(r, split(y))
-                rhs = F.f(r, split(yb)) + F.f(r, split(yc))
-                if lhs < rhs - _EPS:
-                    return ("s-supermod", r, tuple(y), hh, kk, int(i), int(jdx))
+            pair = supermodular_pair(rng, lambda v: F.f(r, split(v)),
+                                     y, hh, kk)
+            if pair is not None:
+                return ("s-supermod", r, tuple(y), hh, kk) + pair
             # mixed radius/value inequality with R >= r
             R = r + rng.uniform(0, 5)
             i = rng.integers(m)
@@ -458,9 +483,6 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
     if model.G is not None:
         G, V = model.G, model.V
 
-        def split(s):
-            return [s[i] for i in range(m)]
-
         def g0(rng):
             s = rng.uniform(-3, 3, size=m)
             if G.g(split(s)) > G.g(split(np.abs(s))) + _EPS:
@@ -482,17 +504,9 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
             yb[i] += hh
             if G.g(split(yb)) < G.g(split(y)) - _EPS:  # monotone
                 return ("monotone", tuple(y), hh, int(i))
-            if m >= 2:
-                i, jdx = rng.choice(m, size=2, replace=False)
-                ya, yb, yc = y.copy(), y.copy(), y.copy()
-                ya[i] += hh
-                ya[jdx] += kk
-                yb[i] += hh
-                yc[jdx] += kk
-                lhs = G.g(split(ya)) + G.g(split(y))
-                rhs = G.g(split(yb)) + G.g(split(yc))
-                if lhs < rhs - _EPS:
-                    return ("supermod", tuple(y), hh, kk, int(i), int(jdx))
+            pair = supermodular_pair(rng, lambda v: G.g(split(v)), y, hh, kk)
+            if pair is not None:
+                return ("supermod", tuple(y), hh, kk) + pair
 
         def g3(rng):
             r1 = rng.uniform(1e-3, 5)

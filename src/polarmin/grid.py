@@ -175,13 +175,20 @@ def gradient_components(field: ScalarField) -> list:
 
 def gradient_magnitude(field: ScalarField) -> ScalarField:
     """Pointwise Euclidean norm of the finite-difference gradient."""
-    comps = gradient_components(field)
-    # squares added in place, left to right: the order, and so the bits, of
-    # a sum over a stacked axis 0, without the stacked copy
-    s = np.square(comps[0], out=comps[0])
+    return ScalarField(field.spec, _magnitude(gradient_components(field)))
+
+
+def _magnitude(comps: list) -> np.ndarray:
+    """Pointwise Euclidean norm of the arrays comps, which stay unchanged.
+
+    The squares are added left to right: the order, and so the bits, of a
+    sum over a stacked axis 0, without the stacked copy.  Every |Du| of the
+    package goes through here.
+    """
+    s = np.square(comps[0])
     for c in comps[1:]:
-        s += np.square(c, out=c)
-    return ScalarField(field.spec, np.sqrt(s, out=s))
+        s += np.square(c)
+    return np.sqrt(s, out=s)
 
 
 # --- RFLD file format -------------------------------------------------------

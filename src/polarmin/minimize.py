@@ -19,11 +19,10 @@ import numpy as np
 from scipy.fft import dstn, idstn
 from scipy.ndimage import map_coordinates
 
-from .energy import (EnergyBreakdown, EnergyModel, eval_total,
-                     nonlocal_potential)
-from .grid import (GridSpec, MultiField, ScalarField, axis_derivative,
-                   axis_derivative_adjoint, gradient_magnitude, lp_norm)
-from .rearrange import schwarz_multi, symmetry_deficit
+from .energy import (EnergyBreakdown, EnergyModel, discrete_gradient,
+                     eval_total)
+from .grid import GridSpec, MultiField, ScalarField, gradient_magnitude, lp_norm
+from .rearrange import schwarz, schwarz_multi, symmetry_deficit
 from .verify import grad_tol
 
 
@@ -39,6 +38,9 @@ class ConstraintVector:
 
 def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiField:
     """Scale each component onto its L^p sphere int |u_i|^p = c_i."""
+    if U.m != len(c.c):
+        raise ValueError(f"field has {U.m} components, constraint vector "
+                         f"has length {len(c.c)}")
     comps = []
     for comp, target in zip(U.components, c.c):
         mass = lp_norm(comp, p) ** p
@@ -47,53 +49,6 @@ def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiFi
         comps.append(ScalarField(comp.spec,
                                  comp.values * (target / mass) ** (1.0 / p)))
     return MultiField(comps)
-
-
-def discrete_gradient(U: MultiField, model: EnergyModel,
-                      potential: np.ndarray | None = None) -> MultiField:
-    """Exact gradient of the discrete energy with respect to grid values.
-
-    E1 differentiates through the finite-difference stencils of
-    gradient_magnitude; E2 is pointwise; E3 contributes
-    -2 h^2N (V * g) dG/ds_i (the factor 2 comes from the symmetric double
-    sum).  potential, when given, is V * g of U (EnergyBreakdown.potential)
-    and saves the convolution.
-    """
-    spec = U.spec
-    h, hN = spec.h, spec.cell_volume
-    vals = [c.values for c in U.components]
-    grads = [np.zeros(spec.shape) for _ in range(U.m)]
-
-    for i, (u, integrand) in enumerate(zip(vals, model.js)):
-        d = [axis_derivative(u, k, h) for k in range(spec.dim)]
-        # squares added left to right, the order (and so the bits) of
-        # grid.gradient_magnitude
-        b = np.square(d[0])
-        for dk in d[1:]:
-            b += np.square(dk)
-        np.sqrt(b, out=b)
-        grads[i] += hN * integrand.dj_ds(u, b)
-        db = integrand.dj_db(u, b)
-        safe = np.where(b > 0, b, 1.0)
-        for k in range(spec.dim):
-            # dj_db * d_k u / |Du|, with zero direction where the gradient
-            # vanishes (there d_k u = 0 as well)
-            w = db * np.where(b > 0, d[k] / safe, 0.0)
-            grads[i] += hN * axis_derivative_adjoint(w, k, h)
-
-    if model.F is not None:
-        df = model.F.df_ds(spec.radii, vals)
-        for i in range(U.m):
-            grads[i] -= hN * np.asarray(df[i])
-
-    if model.G is not None:
-        conv = (nonlocal_potential(U, model) if potential is None
-                else potential)
-        dg = model.G.dg_ds(vals)
-        for i in range(U.m):
-            grads[i] -= 2.0 * hN**2 * conv * np.asarray(dg[i])
-
-    return MultiField([ScalarField(spec, gi) for gi in grads])
 
 
 def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
@@ -129,13 +84,9 @@ def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
     return U, energy, eta, False, evaluations
 
 
-def lagrange_residual(U: MultiField, model: EnergyModel, p: float,
-                      grad: MultiField | None = None):
+def lagrange_residual(U: MultiField, grad: MultiField, p: float):
     """Least-squares multipliers along the constraint normals and the
-    relative Euler-Lagrange residuals; grad, when given, is
-    discrete_gradient(U, model)."""
-    if grad is None:
-        grad = discrete_gradient(U, model)
+    relative Euler-Lagrange residuals; grad is U's discrete_gradient."""
     hN = U.spec.cell_volume
     lams, residuals = [], []
     for u, g in zip(U.components, grad.components):
@@ -320,7 +271,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     U = project_constraints(config.initial, c, p)
     symbol = _sobolev_symbol(U.spec)
     bk = eval_total(U, model)
-    grad = discrete_gradient(U, model, bk.potential)
+    grad = discrete_gradient(U, model, bk)
     direction, r = _tangent_direction(U, grad, p, symbol)
     trace = [TraceStep(0, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True, "initial")]
     warnings = []
@@ -331,13 +282,13 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         if config.k_pol > 0 and step % config.k_pol == 0:
             sym = project_constraints(schwarz_multi(U), c, p)
             sym_bk = eval_total(sym, model)
-            tol = grad_tol(config.spec.h, bk.total)
+            tol = grad_tol(U.spec.h, bk.total)
             if sym_bk.total > bk.total + tol:
                 warnings.append(
                     f"step {step}: symmetrization raised energy by "
                     f"{sym_bk.total - bk.total:.3e} (tol {tol:.3e})")
             U, bk = sym, sym_bk
-            grad = discrete_gradient(U, model, bk.potential)
+            grad = discrete_gradient(U, model, bk)
             direction, r = _tangent_direction(U, grad, p, symbol)
             trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3,
                                    bk.total, 0.0, True, "schwarz"))
@@ -354,8 +305,8 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         s = [a.values - b.values
              for a, b in zip(U_new.components, U.components)]
         U = U_new
-        grad = discrete_gradient(U, model, bk.potential)
-        _, residuals = lagrange_residual(U, model, p, grad)
+        grad = discrete_gradient(U, model, bk)
+        _, residuals = lagrange_residual(U, grad, p)
         row.residual = max(residuals)
         if row.residual <= config.grad_tol:
             status = "converged"
@@ -364,7 +315,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         bb = _bb_step(s, [a - b for a, b in zip(r_new, r)], symbol)
         eta, r = (eta_used if bb is None else bb), r_new
 
-    lams, residuals = lagrange_residual(U, model, p, grad)
+    lams, residuals = lagrange_residual(U, grad, p)
     deficits = tuple(symmetry_deficit(comp, p)[0] for comp in U.components)
     return MinimizeResult(U, trace, lams, residuals, deficits, status,
                           warnings, sum(t.evaluations for t in trace))
@@ -381,8 +332,6 @@ def symmetry_report(U: MultiField, p: float) -> SymmetryDiagnostics:
     """Per-component symmetry diagnostics: deficit, gradient-norm comparison
     against the rearrangement, and the measure of the interior plateau of
     u* (which must be null for translation-uniqueness)."""
-    from .rearrange import schwarz
-
     deficits, gaps, plateaus = [], [], []
     hN = U.spec.cell_volume
     for comp in U.components:

@@ -12,8 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .energy import CouplingG, EnergyModel, IntegrandJ, KernelV, _require_finite
-from .energy import nonlocal_quadratic
+from .energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
+                     _require_finite, eval_total)
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
                    gradient_magnitude)
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
@@ -119,8 +119,8 @@ def check_nonlocal_monotonicity(U: MultiField, G: CouplingG, V: KernelV,
     """Q(U^H) >= Q(U) for the positive nonlocal double sum."""
     model = EnergyModel(p=p, p_star=2 * p,
                         js=[_gradient_free_power(p)] * U.m, G=G, V=V)
-    q_before = nonlocal_quadratic(U, model, method)
-    q_after = nonlocal_quadratic(polarize_multi(U, H), model, method)
+    q_before = -eval_total(U, model, method).E3
+    q_after = -eval_total(polarize_multi(U, H), model, method).E3
     return InequalityReport("nonlocal_monotonicity",
                             left=q_before, right=q_after,
                             tolerance=1e-10 * (1.0 + abs(q_before)),

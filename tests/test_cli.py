@@ -252,6 +252,27 @@ class TestErrorsExitTwo:
                       "command = symmetrize\ndim = 1\nn = 5\n"
                       f"half_width = 2.0\nfield = {path}\n")
 
+    @pytest.mark.parametrize("m,components", [(1, 2), (2, 1)])
+    def test_minimize_field_component_count(self, tmp_path, capsys, m,
+                                            components):
+        spec = make_grid(1, 9, 4.0)
+        rng = np.random.default_rng(0)
+        path = tmp_path / "in.rfld"
+        write_field(MultiField([ScalarField(spec, 0.1 + rng.random(9))
+                                for _ in range(components)]), path)
+        cfg = write_config(tmp_path,
+                           "command = minimize\ndim = 1\nn = 9\n"
+                           f"half_width = 4.0\nmodel = plaplace\nm = {m}\n"
+                           f"c = {','.join(['1.0'] * m)}\nmax_steps = 3\n"
+                           f"field = {path}\n")
+        out = tmp_path / "o"
+        code = main(["minimize", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: field has {components} components, constraint vector "
+            f"has length {m}"]
+        assert not (out / "final.rfld").exists()
+
 
 def _mostly(good, bad, odds):
     """``good``, except once in ``odds`` draws ``bad``."""

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,11 +9,11 @@ from scipy.fft import next_fast_len
 
 from polarmin import energy, models
 from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
-                             LocalTermF, check_assumptions, eval_E1, eval_E2,
-                             eval_E3, eval_total, kernel_convolve,
-                             nonlocal_operator, nonlocal_quadratic,
-                             origin_value, sample_kernel)
-from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
+                             LocalTermF, check_assumptions, eval_total,
+                             kernel_convolve, nonlocal_operator, origin_value,
+                             sample_kernel)
+from polarmin.grid import (MultiField, ScalarField, gradient_components,
+                           lp_norm, make_grid)
 
 # cell average of 1/|x| over [-h/2, h/2]^3 equals this constant divided by h
 # (frozen from the 16-point midpoint rule; scale-invariant in h)
@@ -31,26 +32,27 @@ class TestE1:
     def test_constant_field_zero(self):
         spec = make_grid(2, 9, 2.0)
         U = MultiField([ScalarField(spec, np.full(spec.shape, 4.2))])
-        assert eval_E1(U, e1_only_model()) == 0.0
+        assert eval_total(U, e1_only_model()).E1 == 0.0
 
     def test_linear_1d_hand_sum(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, spec.axis_coords + 2.0)])
         # derivative is exactly 1 at every point (one-sided faces included)
-        assert eval_E1(U, e1_only_model()) == pytest.approx(5.0, rel=1e-15)
+        assert eval_total(U, e1_only_model()).E1 == pytest.approx(
+            5.0, rel=1e-15)
 
     def test_component_count_checked(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, np.zeros(5))] * 2)
         with pytest.raises(ValueError, match="component count"):
-            eval_E1(U, e1_only_model())
+            eval_total(U, e1_only_model())
 
 
 class TestE2:
     def test_no_local_term(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, np.ones(5))])
-        assert eval_E2(U, e1_only_model()) == 0.0
+        assert eval_total(U, e1_only_model()).E2 == 0.0
 
     def test_power_local_term_matches_norm(self):
         spec = make_grid(1, 9, 3.0)
@@ -61,7 +63,7 @@ class TestE2:
                        df_ds=lambda r, s: [p * s[0] ** (p - 1)],
                        growth_K=1.0, exponents_l=(0.5,))
         model = EnergyModel(p=p, p_star=4.0, js=[J_DIRICHLET], F=F)
-        assert eval_E2(MultiField([u]), model) == pytest.approx(
+        assert eval_total(MultiField([u]), model).E2 == pytest.approx(
             -lp_norm(u, p) ** p, rel=1e-13)
 
     def test_weighted_local_term_hand_sum(self):
@@ -73,7 +75,7 @@ class TestE2:
         model = EnergyModel(p=2.0, p_star=4.0, js=[J_DIRICHLET], F=F)
         expected = -sum(np.exp(-abs(x)) * v
                         for x, v in zip(spec.axis_coords, u.values))
-        assert eval_E2(MultiField([u]), model) == pytest.approx(
+        assert eval_total(MultiField([u]), model).E2 == pytest.approx(
             expected, rel=1e-14)
 
 
@@ -195,8 +197,8 @@ class TestNonlocal:
         model = models.choquard(m=1, dim=3)
         rng = np.random.default_rng(4)
         U = MultiField([ScalarField(spec, rng.random(spec.shape))])
-        qf = nonlocal_quadratic(U, model, "fft")
-        qd = nonlocal_quadratic(U, model, "direct")
+        qf = eval_total(U, model, "fft").E3
+        qd = eval_total(U, model, "direct").E3
         assert qf == pytest.approx(qd, rel=1e-12)
 
     def test_point_mass_hand_value(self):
@@ -206,19 +208,19 @@ class TestNonlocal:
         U = MultiField([ScalarField(spec, vals)])
         model = models.choquard(m=1, dim=3)
         v0 = COULOMB_CELL_CONSTANT / spec.h
-        assert eval_E3(U, model) == pytest.approx(
+        assert eval_total(U, model).E3 == pytest.approx(
             -v0 * spec.cell_volume**2, rel=1e-12)
 
     def test_unknown_method(self):
         spec = make_grid(3, 5, 2.0)
         U = MultiField([ScalarField(spec, np.zeros(spec.shape))])
         with pytest.raises(ValueError, match="unknown method"):
-            nonlocal_quadratic(U, models.choquard(), "spectral")
+            eval_total(U, models.choquard(), "spectral")
 
     def test_no_coupling_is_zero(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, np.ones(5))])
-        assert eval_E3(U, e1_only_model()) == 0.0
+        assert eval_total(U, e1_only_model()).E3 == 0.0
 
 
 class TestEvalTotal:
@@ -230,16 +232,31 @@ class TestEvalTotal:
         assert bk.E2 == 0.0 and bk.E3 == 0.0
         assert bk.total == bk.E1
 
-    def test_additivity_on_example_model(self):
+    def test_terms_match_independent_sums(self):
+        # E1 from the stencils by hand, E2 pointwise, E3 through the
+        # explicit pairwise kernel sum of dense_sum
         spec = make_grid(3, 7, 2.0)
-        model = models.example_paper(m=2, dim=3)
+        F = LocalTermF(f=lambda r, s: np.exp(-r) * (s[0] ** 2 + s[0] * s[1]),
+                       df_ds=None, growth_K=1.0, exponents_l=(1.0, 1.0))
+        model = dataclasses.replace(models.example_paper(m=2, dim=3), F=F)
         rng = np.random.default_rng(2)
         U = MultiField([ScalarField(spec, rng.random(spec.shape))
                         for _ in range(2)])
-        bk = eval_total(U, model)
-        assert bk.total == pytest.approx(
-            eval_E1(U, model) + eval_E2(U, model) + eval_E3(U, model),
-            rel=1e-13)
+        hN = spec.cell_volume
+        e1 = 0.0
+        for comp, integrand in zip(U.components, model.js):
+            b = np.sqrt(sum(d * d for d in gradient_components(comp)))
+            e1 += hN * float(np.sum(integrand.j(comp.values, b)))
+        vals = [c.values for c in U.components]
+        e2 = -hN * float(np.sum(F.f(spec.radii, vals)))
+        g = vals[0] ** 2 + vals[1] ** 2
+        e3 = -hN**2 * float(np.sum(g * dense_sum(g, model.V, spec)))
+        for method in ("fft", "direct"):
+            bk = eval_total(U, model, method)
+            assert bk.E1 == pytest.approx(e1, rel=1e-13)
+            assert bk.E2 == pytest.approx(e2, rel=1e-13)
+            assert bk.E3 == pytest.approx(e3, rel=1e-12)
+            assert bk.total == bk.E1 + bk.E2 + bk.E3
 
     def test_non_finite_integrand_reported(self):
         spec = make_grid(1, 5, 2.0)
@@ -247,7 +264,7 @@ class TestEvalTotal:
             j=lambda s, b: np.log(s), dj_ds=None, dj_db=None)])
         U = MultiField([ScalarField(spec, np.zeros(5))])
         with pytest.raises(ValueError, match="non-finite"):
-            eval_E1(U, bad)
+            eval_total(U, bad)
 
 
 class TestModelValidation:
@@ -267,6 +284,36 @@ class TestModelValidation:
             models.by_name("does_not_exist")
 
 
+PASSED = [(f"{name}[{i}]", True, "None") for i in (0, 1)
+          for name in ("J0", "J1", "J2")]
+
+# (name, passed, repr(witness)) of check_assumptions(model, 300, 11): the
+# sampled points and the order of the rng draws (numpy 2 scalar reprs)
+PINNED_CHECKS = {
+    "nonmonotone_g": PASSED + [
+        ("G0", False, "(np.float64(0.597695660907632), "
+                      "np.float64(-1.3259842413983016))"),
+        ("G1", False, "(np.float64(0.7535419849340027), "
+                      "np.float64(2.745429045108856))"),
+        ("G3", True, "None"),
+        ("G4", False, "('monotone', (np.float64(0.6056073146600113), "
+                      "np.float64(1.3897254289667458)), "
+                      "np.float64(0.31926279934053503), 1)"),
+    ],
+    "nonsupermodular_f": PASSED + [
+        ("F0", False, "(3.638623216987544, (np.float64(1.2706975417011357), "
+                      "np.float64(-2.2192966327431565)))"),
+        ("F1", False, "(4.555059692125297, (np.float64(1.7856912726483314), "
+                      "np.float64(2.6883881118041795)))"),
+        ("F3", False, "('s-supermod', 3.7313290021768446, "
+                      "(np.float64(2.6650692717769515), "
+                      "np.float64(2.4246419858608053)), "
+                      "np.float64(1.4622126337252856), "
+                      "np.float64(1.1992318869692107), 1, 0)"),
+    ],
+}
+
+
 class TestAssumptions:
     def test_example_model_passes(self):
         rep = check_assumptions(models.example_paper(m=2, dim=3), 300, 11)
@@ -283,6 +330,12 @@ class TestAssumptions:
         rep = check_assumptions(models.nonsupermodular_f(dim=3), 300, 11)
         names = {c.name for c in rep.failures()}
         assert "F1" in names and "F3" in names
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+    def test_negative_control_witnesses_pinned(self, name):
+        rep = check_assumptions(models.by_name(name, dim=3), 300, 11)
+        assert [(c.name, c.passed, repr(c.witness))
+                for c in rep.checks] == PINNED_CHECKS[name]
 
     def test_deterministic_by_seed(self):
         a = check_assumptions(models.nonmonotone_g(dim=3), 200, 3)

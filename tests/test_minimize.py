@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from polarmin import energy, models
-from polarmin.energy import (EnergyModel, IntegrandJ, LocalTermF, eval_total)
+from polarmin.energy import (EnergyModel, IntegrandJ, LocalTermF,
+                             discrete_gradient, eval_total)
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
-                           lp_norm, make_grid)
+                           gradient_magnitude, lp_norm, make_grid)
 from polarmin.minimize import (ConstraintVector, MinimizeConfig, descent_step,
-                               dilate, dilation_scan, discrete_gradient,
-                               lagrange_residual, minimize,
-                               project_constraints, symmetry_report)
+                               dilate, dilation_scan, lagrange_residual,
+                               minimize, project_constraints, symmetry_report)
 from polarmin.rearrange import schwarz, schwarz_multi
 from polarmin.verify import random_bump_field
 
@@ -34,6 +34,11 @@ def random_multifield(spec, m, seed, low=0.1):
     rng = np.random.default_rng(seed)
     return MultiField([
         ScalarField(spec, low + rng.random(spec.shape)) for _ in range(m)])
+
+
+def fresh_gradient(U, model):
+    """discrete_gradient of U from a fresh evaluation of U."""
+    return discrete_gradient(U, model, eval_total(U, model))
 
 
 def directional_fd(U, model, W, eps=1e-5):
@@ -59,6 +64,14 @@ class TestProjection:
         with pytest.raises(ValueError, match="zero component"):
             project_constraints(U, ConstraintVector((1.0,)), 2.0)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_component_count_must_match_targets(self, m):
+        spec = make_grid(1, 5, 2.0)
+        U = random_multifield(spec, m, 0)
+        with pytest.raises(ValueError, match=f"field has {m} components, "
+                           "constraint vector has length 2"):
+            project_constraints(U, ConstraintVector((1.0, 2.0)), 2.0)
+
     def test_targets_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ConstraintVector((1.0, 0.0))
@@ -73,7 +86,7 @@ class TestDiscreteGradient:
         spec = make_grid(2, 9, 2.0)
         model = models.by_name(name, m=m, dim=3)
         U = random_multifield(spec, m, 10)
-        grad = discrete_gradient(U, model)
+        grad = fresh_gradient(U, model)
         rng = np.random.default_rng(11)
         for _ in range(3):
             W = MultiField([ScalarField(spec, rng.standard_normal(spec.shape))
@@ -98,10 +111,11 @@ class TestDiscreteGradient:
         for scale in (1e-3, 1.0, 1e3):
             u = ScalarField(spec, scale * rng.standard_normal(spec.shape))
             seen.clear()
-            discrete_gradient(MultiField([u]), model)
+            fresh_gradient(MultiField([u]), model)
             comps = gradient_components(u)
             stacked = np.sqrt(np.sum([c**2 for c in comps], axis=0))
             assert len(seen) == 1 and np.array_equal(seen[0], stacked)
+            assert np.array_equal(gradient_magnitude(u).values, stacked)
 
 
 class TestLagrangeResidual:
@@ -112,21 +126,22 @@ class TestLagrangeResidual:
         model = EnergyModel(p=2.0, p_star=4.0, js=[j_val])
         spec = make_grid(1, 9, 2.0)
         U = random_multifield(spec, 1, 12)
-        lams, res = lagrange_residual(U, model, 2.0)
+        lams, res = lagrange_residual(U, fresh_gradient(U, model), 2.0)
         assert res[0] <= 1e-12
         assert lams[0] == pytest.approx(-2.0, rel=1e-12)
 
     def test_generic_field_in_unit_interval(self):
         spec = make_grid(2, 9, 2.0)
         model = confined_toy_model()
-        _, res = lagrange_residual(random_multifield(spec, 1, 13), model, 2.0)
+        U = random_multifield(spec, 1, 13)
+        _, res = lagrange_residual(U, fresh_gradient(U, model), 2.0)
         assert 0.0 < res[0] <= 1.0
 
     def test_zero_component_rejected(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, np.zeros(5))])
         with pytest.raises(ValueError, match="zero component"):
-            lagrange_residual(U, confined_toy_model(), 2.0)
+            lagrange_residual(U, fresh_gradient(U, confined_toy_model()), 2.0)
 
 
 class TestDilate:
@@ -175,7 +190,7 @@ class TestDescentAndMinimize:
         c = ConstraintVector((1.0,))
         U = project_constraints(random_multifield(spec, 1, 17), c, 2.0)
         bk0 = eval_total(U, model)
-        grad = discrete_gradient(U, model, bk0.potential)
+        grad = discrete_gradient(U, model, bk0)
         U1, bk1, eta_used, accepted, evaluations = descent_step(
             U, model, c, eta=0.1, energy=bk0, direction=grad)
         assert accepted and bk1.total < bk0.total
@@ -190,7 +205,7 @@ class TestDescentAndMinimize:
         c = ConstraintVector((1.0,))
         U = project_constraints(random_multifield(spec, 1, 17), c, 2.0)
         bk0 = eval_total(U, model)
-        grad = discrete_gradient(U, model, bk0.potential)
+        grad = discrete_gradient(U, model, bk0)
         # eta * grad overflows: those trials count as halvings, not errors
         with np.errstate(over="ignore", invalid="ignore"):
             U1, bk1, _, accepted, evaluations = descent_step(
@@ -290,8 +305,7 @@ def reference_minimize(cfg):
             rows.append((step, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True,
                          "schwarz"))
             continue
-        d, r = mn._tangent_direction(U, discrete_gradient(U, model), p,
-                                     symbol)
+        d, r = mn._tangent_direction(U, fresh_gradient(U, model), p, symbol)
         U_new, _, eta_used, accepted, _ = descent_step(
             U, model, c, eta, eval_total(U, model), d)
         bk = eval_total(U_new, model)
@@ -299,18 +313,19 @@ def reference_minimize(cfg):
                      "descent"))
         if not accepted:
             break
-        _, residuals = lagrange_residual(U_new, model, p)
+        _, residuals = lagrange_residual(U_new, fresh_gradient(U_new, model),
+                                         p)
         if max(residuals) <= cfg.grad_tol:
             U = U_new
             break
         _, r_new = mn._tangent_direction(
-            U_new, discrete_gradient(U_new, model), p, symbol)
+            U_new, fresh_gradient(U_new, model), p, symbol)
         bb = mn._bb_step([a.values - b.values for a, b in
                           zip(U_new.components, U.components)],
                          [a - b for a, b in zip(r_new, r)], symbol)
         eta = eta_used if bb is None else bb
         U = U_new
-    return U, rows, lagrange_residual(U, model, p)
+    return U, rows, lagrange_residual(U, fresh_gradient(U, model), p)
 
 
 class TestEvaluationReuse:
@@ -369,15 +384,15 @@ def oracle_minimize(cfg):
     model, c = cfg.model, cfg.constraints
     U = project_constraints(cfg.initial, c, model.p)
     bk = eval_total(U, model)
-    grad = discrete_gradient(U, model, bk.potential)
+    grad = discrete_gradient(U, model, bk)
     eta = cfg.eta
     for _ in range(cfg.max_steps):
         U, bk, eta, accepted, _ = descent_step(U, model, c, eta, bk, grad)
         if not accepted:
             return U, bk.total, "stalled"
         eta *= 2.0
-        grad = discrete_gradient(U, model, bk.potential)
-        _, residuals = lagrange_residual(U, model, model.p, grad)
+        grad = discrete_gradient(U, model, bk)
+        _, residuals = lagrange_residual(U, grad, model.p)
         if max(residuals) <= cfg.grad_tol:
             return U, bk.total, "converged"
     return U, bk.total, "max_steps_reached"
