@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 
 from polarmin import models
+from polarmin.cli import write_minimize_trace
 from polarmin.grid import MultiField, lp_norm, make_grid, write_field
 from polarmin.minimize import (ConstraintVector, MinimizeConfig,
                                dilation_scan, minimize, project_constraints)
@@ -55,7 +56,7 @@ def main():
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    res.trace_to_csv(out / "trace.csv")
+    write_minimize_trace(out / "trace.csv", res.trace)
     write_field(res.U, out / "final.rfld")
     last = res.trace[-1]
     lines = [f"status = {res.status}",

@@ -1,9 +1,12 @@
-"""Command-line front end: flat key-value configs, workflow dispatch,
-CSV/RFLD report emission.
+"""Command-line front end: flat key-value configs, workflow dispatch, and
+the one home of the output file format.
 
 Exit codes: 0 success, 1 failed check, 2 configuration or I/O error.
-Output CSVs are byte-identical for identical config and seed; the only
-non-deterministic content is a `#`-prefixed timestamp header line.
+Every output file is written with LF line ends and is byte-identical for
+identical config and seed: the CSVs (``write_csv``), ``summary.txt`` and
+``diagnostics.txt`` (``write_keys``) and ``final.rfld``.  The only
+non-deterministic content is the ``# generated <timestamp>`` line that
+opens each CSV.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import dataclasses
 import datetime
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -21,7 +25,8 @@ from .grid import MultiField, make_grid, read_field, write_field
 from .minimize import (ConstraintVector, MinimizeConfig, dilation_scan,
                        minimize, project_constraints, symmetry_report)
 from .rearrange import PolarizationSchedule, iterate_polarizations
-from .verify import check_polya_szego, random_bump_field, run_property_suite
+from .verify import (SuiteLine, check_polya_szego, random_bump_field,
+                     run_property_suite)
 
 
 class ConfigError(ValueError):
@@ -29,6 +34,13 @@ class ConfigError(ValueError):
 
 
 COMMANDS = ("symmetrize", "verify", "minimize", "polya-szego")
+
+
+def _reals(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+_reals.__name__ = "comma-separated reals"  # named in parse errors
 
 # key -> (parser, default)
 _SCHEMA = {
@@ -44,7 +56,7 @@ _SCHEMA = {
     "max_iter": (int, 2000),
     "tol": (float, 1e-3),
     "p": (float, 2.0),
-    "c": (str, "1.0"),
+    "c": (_reals, (1.0,)),
     "eta": (float, 1.0),
     "max_steps": (int, 200),
     "grad_tol": (float, 1e-3),
@@ -55,25 +67,7 @@ _SCHEMA = {
 }
 
 
-@dataclasses.dataclass
-class RunConfig:
-    values: dict
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-    @property
-    def constraint_vector(self) -> tuple:
-        try:
-            return tuple(float(v) for v in self.values["c"].split(","))
-        except ValueError:
-            raise ConfigError("c must be a comma-separated list of reals") from None
-
-
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> types.SimpleNamespace:
     """Parse `key = value` lines with `#` comments; keys are case-sensitive,
     unknown and duplicate keys are errors."""
     values = {k: d for k, (_, d) in _SCHEMA.items()}
@@ -102,7 +96,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: key {key!r} must be finite, got {val!r}")
     _validate(values, seen)
-    return RunConfig(values)
+    return types.SimpleNamespace(**values)
 
 
 def _validate(values: dict, seen: dict) -> None:
@@ -140,24 +134,53 @@ def _validate(values: dict, seen: dict) -> None:
         bad("trials", "trials must be >= 1")
     if values["init"] not in ("gaussian", "dilation_scan"):
         bad("init", "init must be gaussian or dilation_scan")
-    if not np.all(np.isfinite(RunConfig(values).constraint_vector)):
+    if not np.all(np.isfinite(values["c"])):
         bad("c", "entries must be finite")
 
 
-def _timestamp() -> str:
-    return "generated " + datetime.datetime.now().isoformat()
+def _cell(value) -> str:
+    return (f"{value:.17g}" if isinstance(value, (float, np.floating))
+            else str(value))
 
 
-def _initial_field(cfg: RunConfig, spec, rng) -> MultiField:
-    if cfg.values["field"]:
-        U = read_field(cfg.values["field"])
+def write_csv(path, header, rows) -> None:
+    """Write ``# generated <timestamp>``, the header, then one line per row.
+
+    Float cells (Python or numpy) are written as ``%.17g``, so they read
+    back exactly; every other cell is written with ``str``.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# generated {datetime.datetime.now().isoformat()}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def write_keys(path, pairs) -> None:
+    """Write one ``key = value`` line per pair; values as ``write_csv``
+    writes cells."""
+    with open(path, "w", newline="\n") as fh:
+        for key, value in pairs:
+            fh.write(f"{key} = {_cell(value)}\n")
+
+
+def write_minimize_trace(path, trace) -> None:
+    """``trace.csv`` of a minimizer run: one row per ``TraceStep``."""
+    write_csv(path, ("step", "E1", "E2", "E3", "total", "eta", "accepted"),
+              [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, int(t.accepted))
+               for t in trace])
+
+
+def _initial_field(cfg: types.SimpleNamespace, spec, rng) -> MultiField:
+    if cfg.field:
+        U = read_field(cfg.field)
         if U.spec != spec:
             raise ConfigError("field file grid does not match config grid")
         return U
     return MultiField([random_bump_field(spec, rng) for _ in range(cfg.m)])
 
 
-def _run_symmetrize(cfg: RunConfig, out: str) -> int:
+def _run_symmetrize(cfg: types.SimpleNamespace, out: str) -> int:
     spec = make_grid(cfg.dim, cfg.n, cfg.half_width)
     rng = np.random.default_rng(cfg.seed)
     U0 = _initial_field(cfg, spec, rng)
@@ -165,84 +188,78 @@ def _run_symmetrize(cfg: RunConfig, out: str) -> int:
                                     max_iter=cfg.max_iter, tol=cfg.tol,
                                     p=cfg.p)
     U, trace = iterate_polarizations(U0, schedule)
-    trace.to_csv(os.path.join(out, "trace.csv"), header_comment=_timestamp())
+    rows = []
+    for row in trace.rows:
+        H = row.half_space
+        normal, offset = ("", "") if H is None else (H.label(), H.offset)
+        rows.append((row.iteration, normal, offset, *row.rel_dist))
+    write_csv(os.path.join(out, "trace.csv"),
+              ["iter", "normal", "offset"]
+              + [f"rel_dist_{i + 1}" for i in range(U.m)], rows)
     write_field(U, os.path.join(out, "final.rfld"))
     final = trace.rows[-1]
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(f"status = {trace.status}\n")
-        fh.write(f"iterations = {final.iteration}\n")
-        fh.write(f"final_rel_dist = {max(final.rel_dist):.17g}\n")
+    write_keys(os.path.join(out, "summary.txt"),
+               [("status", trace.status), ("iterations", final.iteration),
+                ("final_rel_dist", max(final.rel_dist))])
     return 0
 
 
-def _run_verify(cfg: RunConfig, out: str) -> int:
+def _run_verify(cfg: types.SimpleNamespace, out: str) -> int:
     spec = make_grid(cfg.dim, cfg.n, cfg.half_width)
     suite = run_property_suite(cfg.seed, cfg.trials, spec)
-    suite.to_csv(os.path.join(out, "suite.csv"), header_comment=_timestamp())
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(f"passed = {suite.passed}\n")
+    write_csv(os.path.join(out, "suite.csv"),
+              [f.name for f in dataclasses.fields(SuiteLine)],
+              [dataclasses.astuple(ln) for ln in suite.lines])
+    write_keys(os.path.join(out, "summary.txt"), [("passed", suite.passed)])
     return 0 if suite.passed else 1
 
 
-def _run_polya_szego(cfg: RunConfig, out: str) -> int:
+def _run_polya_szego(cfg: types.SimpleNamespace, out: str) -> int:
     spec = make_grid(cfg.dim, cfg.n, cfg.half_width)
     rng = np.random.default_rng(cfg.seed)
     model = models.plaplace(p=cfg.p, dim=cfg.dim)
-    failures = 0
-    path = os.path.join(out, "polya_szego.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {_timestamp()}\n")
-        fh.write("trial,left,right,slack,tolerance,pass\n")
-        for t in range(cfg.trials):
-            u = random_bump_field(spec, rng)
-            rep = check_polya_szego(u, model.js[0])
-            failures += int(not rep.passed)
-            fh.write(f"{t},{rep.left:.17g},{rep.right:.17g},"
-                     f"{rep.slack:.17g},{rep.tolerance:.17g},"
-                     f"{int(rep.passed)}\n")
-    return 0 if failures == 0 else 1
+    rows = []
+    for t in range(cfg.trials):
+        rep = check_polya_szego(random_bump_field(spec, rng), model.js[0])
+        rows.append((t, rep.left, rep.right, rep.slack, rep.tolerance,
+                     int(rep.passed)))
+    write_csv(os.path.join(out, "polya_szego.csv"),
+              ("trial", "left", "right", "slack", "tolerance", "pass"), rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
-def _run_minimize(cfg: RunConfig, out: str) -> int:
+def _run_minimize(cfg: types.SimpleNamespace, out: str) -> int:
     spec = make_grid(cfg.dim, cfg.n, cfg.half_width)
     rng = np.random.default_rng(cfg.seed)
     model = models.by_name(cfg.model, m=cfg.m, dim=cfg.dim)
-    cvec = ConstraintVector(cfg.constraint_vector)
+    cvec = ConstraintVector(cfg.c)
     if len(cvec.c) != model.m:
         raise ConfigError("constraint vector length must match m")
     U0 = project_constraints(_initial_field(cfg, spec, rng), cvec, model.p)
-    scan_lines = []
+    scan_pairs = []
     if cfg.init == "dilation_scan":
         scan = dilation_scan(U0, model, cvec, deltas=(1.0, 0.5, 0.25, 0.125))
-        scan_lines = [f"dilation_E[{d:g}] = {e:.17g}" for d, e, _ in scan]
+        scan_pairs = [(f"dilation_E[{d:g}]", e) for d, e, _ in scan]
         best = min(scan, key=lambda t: t[1])
         U0 = best[2]
     mconf = MinimizeConfig(model=model, constraints=cvec, spec=spec,
                            initial=U0, eta=cfg.eta, max_steps=cfg.max_steps,
                            grad_tol=cfg.grad_tol, k_pol=cfg.k_pol)
     result = minimize(mconf)
-    result.trace_to_csv(os.path.join(out, "trace.csv"),
-                        header_comment=_timestamp())
+    write_minimize_trace(os.path.join(out, "trace.csv"), result.trace)
     write_field(result.U, os.path.join(out, "final.rfld"))
     diag = symmetry_report(result.U, model.p)
     final = result.trace[-1]
-    with open(os.path.join(out, "diagnostics.txt"), "w") as fh:
-        fh.write(f"status = {result.status}\n")
-        fh.write(f"E1 = {final.E1:.17g}\n")
-        fh.write(f"E2 = {final.E2:.17g}\n")
-        fh.write(f"E3 = {final.E3:.17g}\n")
-        fh.write(f"total = {final.total:.17g}\n")
-        for line in scan_lines:
-            fh.write(line + "\n")
-        for i in range(model.m):
-            fh.write(f"lambda_{i + 1} = {result.multipliers[i]:.17g}\n")
-            fh.write(f"residual_{i + 1} = {result.residuals[i]:.17g}\n")
-            fh.write(f"deficit_{i + 1} = {result.deficits[i]:.17g}\n")
-            fh.write(f"grad_norm_gap_{i + 1} = "
-                     f"{diag.gradient_norm_gap[i]:.17g}\n")
-            fh.write(f"plateau_{i + 1} = {diag.plateau_measure[i]:.17g}\n")
-        for w in result.warnings:
-            fh.write(f"warning = {w}\n")
+    pairs = [("status", result.status), ("E1", final.E1), ("E2", final.E2),
+             ("E3", final.E3), ("total", final.total), *scan_pairs]
+    for i in range(model.m):
+        pairs += [(f"lambda_{i + 1}", result.multipliers[i]),
+                  (f"residual_{i + 1}", result.residuals[i]),
+                  (f"deficit_{i + 1}", result.deficits[i]),
+                  (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
+                  (f"plateau_{i + 1}", diag.plateau_measure[i])]
+    pairs += [("warning", w) for w in result.warnings]
+    write_keys(os.path.join(out, "diagnostics.txt"), pairs)
     return 0
 
 
@@ -254,20 +271,19 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, command: str | None = None,
+def run(cfg: types.SimpleNamespace, command: str | None = None,
         out: str | None = None, seed: int | None = None) -> int:
-    command = command or cfg.values["command"]
+    command = command or cfg.command
     if command is None:
         raise ConfigError("missing required key 'command'")
-    if cfg.values["command"] is not None and command != cfg.values["command"]:
+    if cfg.command is not None and command != cfg.command:
         raise ConfigError(
-            f"config says command = {cfg.values['command']!r}, "
-            f"CLI says {command!r}")
+            f"config says command = {cfg.command!r}, CLI says {command!r}")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if seed is not None:
-        cfg.values["seed"] = seed
-    out = out or cfg.values["out"]
+        cfg.seed = seed
+    out = out or cfg.out
     os.makedirs(out, exist_ok=True)
     return _RUNNERS[command](cfg, out)
 

@@ -157,8 +157,8 @@ class TraceStep:
     """One row of the minimizer trace.  evaluations (eval_total calls),
     halvings (of the trial step length) and residual (the largest Euclidean
     Euler-Lagrange residual of an accepted descent iterate; None on
-    initial, schwarz and stalled rows) stay in memory; trace_to_csv does
-    not write them."""
+    initial, schwarz and stalled rows) stay in memory; the CLI's trace.csv
+    does not hold them."""
 
     step: int
     E1: float
@@ -183,15 +183,6 @@ class MinimizeResult:
     status: str  # converged | stalled | max_steps_reached
     warnings: list
     evaluations: int  # eval_total calls over the whole run
-
-    def trace_to_csv(self, path, header_comment=None) -> None:
-        with open(path, "w", newline="\n") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("step,E1,E2,E3,total,eta,accepted\n")
-            for t in self.trace:
-                fh.write(f"{t.step},{t.E1:.17g},{t.E2:.17g},{t.E3:.17g},"
-                         f"{t.total:.17g},{t.eta:.17g},{int(t.accepted)}\n")
 
 
 # alpha of the preconditioner P = (1 - alpha Delta_h)^-1, in squared length
@@ -323,19 +314,19 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
 
 @dataclasses.dataclass
 class SymmetryDiagnostics:
-    deficits: tuple
     gradient_norm_gap: tuple  # ||Du||_p - ||Du*||_p per component, signed
     plateau_measure: tuple
 
 
 def symmetry_report(U: MultiField, p: float) -> SymmetryDiagnostics:
-    """Per-component symmetry diagnostics: deficit, gradient-norm comparison
+    """Per-component symmetry diagnostics: gradient-norm comparison
     against the rearrangement, and the measure of the interior plateau of
-    u* (which must be null for translation-uniqueness)."""
-    deficits, gaps, plateaus = [], [], []
+    u* (which must be null for translation-uniqueness).  The deficit itself
+    is ``symmetry_deficit``; ``minimize`` reports it in
+    ``MinimizeResult.deficits``."""
+    gaps, plateaus = [], []
     hN = U.spec.cell_volume
     for comp in U.components:
-        deficits.append(symmetry_deficit(comp, p)[0])
         star = schwarz(comp)
         star_grad = gradient_magnitude(star)
         gaps.append(lp_norm(gradient_magnitude(comp), p)
@@ -345,4 +336,4 @@ def symmetry_report(U: MultiField, p: float) -> SymmetryDiagnostics:
         flat = star_grad.values < eps
         interior = (star.values > eps) & (star.values < top - eps)
         plateaus.append(float(np.count_nonzero(flat & interior)) * hN)
-    return SymmetryDiagnostics(tuple(deficits), tuple(gaps), tuple(plateaus))
+    return SymmetryDiagnostics(tuple(gaps), tuple(plateaus))

@@ -198,31 +198,15 @@ class TraceRow:
 
 @dataclasses.dataclass
 class ConvergenceTrace:
-    """Trace rows, final status, and two deterministic work counters that
-    stay in memory (``to_csv`` writes the rows only): ``candidates``, the
-    half-spaces picked over all iterations, and ``polarizations``, the
-    ``polarize_multi`` calls made."""
+    """Trace rows, final status, and two deterministic work counters:
+    ``candidates``, the half-spaces picked over all iterations, and
+    ``polarizations``, the ``polarize_multi`` calls made.  The CLI's
+    ``trace.csv`` holds the rows only."""
 
     rows: list
     status: str  # converged | max_iter_reached
     candidates: int = 0
     polarizations: int = 0
-
-    def to_csv(self, path, header_comment=None) -> None:
-        m = len(self.rows[0].rel_dist)
-        cols = ",".join(f"rel_dist_{i + 1}" for i in range(m))
-        with open(path, "w", newline="\n") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(f"iter,normal,offset,{cols}\n")
-            for row in self.rows:
-                if row.half_space is None:
-                    normal, offset = "", ""
-                else:
-                    normal = row.half_space.label()
-                    offset = f"{row.half_space.offset:.17g}"
-                d = ",".join(f"{v:.17g}" for v in row.rel_dist)
-                fh.write(f"{row.iteration},{normal},{offset},{d}\n")
 
 
 def _rel_dists(U: MultiField, targets, target_norms, p: float) -> tuple:

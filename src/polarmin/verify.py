@@ -270,15 +270,6 @@ class SuiteSummary:
     def passed(self) -> bool:
         return all(ln.passed for ln in self.lines)
 
-    def to_csv(self, path, header_comment=None) -> None:
-        with open(path, "w", newline="\n") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("check,trials,passes,worst_slack,tolerance\n")
-            for ln in self.lines:
-                fh.write(f"{ln.check},{ln.trials},{ln.passes},"
-                         f"{ln.worst_slack:.17g},{ln.tolerance:.17g}\n")
-
 
 def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
     """Randomized aggregation of the exact and tolerance-class checks."""

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmin.cli import COMMANDS, ConfigError, main, parse_config, run
+from polarmin.cli import (COMMANDS, ConfigError, main, parse_config, run,
+                          write_csv)
 from polarmin.grid import MultiField, ScalarField, make_grid, write_field
 
 
@@ -70,9 +71,10 @@ class TestParseConfig:
 
     def test_constraint_vector_parsing(self):
         cfg = parse_config("c = 1.0, 2.0\nm = 2\n")
-        assert cfg.constraint_vector == (1.0, 2.0)
-        with pytest.raises(ConfigError, match="comma-separated"):
-            parse_config("c = one\n").constraint_vector
+        assert cfg.c == (1.0, 2.0)
+        assert parse_config("").c == (1.0,)
+        with pytest.raises(ConfigError, match="line 1: .*comma-separated"):
+            parse_config("c = one\n")
 
 
 class TestRunDispatch:
@@ -162,6 +164,185 @@ class TestDeterminism:
         a = strip_comments(out_a / "suite.csv")
         b = strip_comments(out_b / "suite.csv")
         assert a != b
+
+
+# Each command on a tiny 1D config, and every file it writes with its `#`
+# lines dropped, byte for byte.  Any change to the bytes of an output file
+# must show here.
+GOLDEN = {
+    "symmetrize": (
+        "dim = 1\n"
+        "n = 9\n"
+        "m = 2\n"
+        "mode = sweep\n"
+        "max_iter = 20\n"
+        "seed = 5\n",
+        {
+            "final.rfld": (
+                "RFLD 1\n"
+                "1 2 9 4\n"
+                "0.0055292375308323097\n"
+                "0.20783581173801846\n"
+                "0.38457048286059697\n"
+                "1.0594160191017186\n"
+                "2.7173188384287079\n"
+                "0.61389820469756351\n"
+                "0.34509716213127706\n"
+                "0.042218481636556428\n"
+                "0.00081187412011788241\n"
+                "0.0037079196724499235\n"
+                "0.15243388050037865\n"
+                "1.0827816327178961\n"
+                "1.9735788786726558\n"
+                "2.069629189519735\n"
+                "1.7741467536050766\n"
+                "0.86731680893861807\n"
+                "0.14605198874812264\n"
+                "1.5024825067904062e-05\n"
+            ),
+            "summary.txt": (
+                "status = converged\n"
+                "iterations = 20\n"
+                "final_rel_dist = 0\n"
+            ),
+            "trace.csv": (
+                "iter,normal,offset,rel_dist_1,rel_dist_2\n"
+                "0,,,1.1308878913233764,0.48610444847217393\n"
+                "1,+e0,0,1.1308878913233764,0.48610444847217393\n"
+                "2,+e0,-0.5,0.93107519816695994,0.48610444847217393\n"
+                "3,+e0,-1,0.93107519816695994,0.48610444847217393\n"
+                "4,+e0,-1.5,0.89849727516511069,0.48610444847217393\n"
+                "5,+e0,-2,0.89849727516511069,0.48610444847217393\n"
+                "6,+e0,-2.5,0.89555617031460255,0.48610444847217393\n"
+                "7,+e0,-3,0.89555617031460255,0.48610444847217393\n"
+                "8,+e0,-3.5,0.89555617031460255,0.48610444847217393\n"
+                "9,+e0,-4,0.89555617031460255,0.48610444847217393\n"
+                "10,-e0,0,0.7732091780244279,0.39143032922223786\n"
+                "11,-e0,-0.5,0.7732091780244279,0.39143032922223786\n"
+                "12,-e0,-1,0.7732091780244279,0.39143032922223786\n"
+                "13,-e0,-1.5,0.7732091780244279,0.39143032922223786\n"
+                "14,-e0,-2,0.7732091780244279,0.39143032922223786\n"
+                "15,-e0,-2.5,0.7732091780244279,0.39143032922223786\n"
+                "16,-e0,-3,0.7732091780244279,0.39143032922223786\n"
+                "17,-e0,-3.5,0.7732091780244279,0.39143032922223786\n"
+                "18,-e0,-4,0.7732091780244279,0.39143032922223786\n"
+                "19,+e0,0,0.7732091780244279,0.39143032922223786\n"
+                "20,+e0,-0.5,0,0\n"
+            ),
+        }),
+    "verify": (
+        "dim = 1\n"
+        "n = 9\n"
+        "trials = 3\n"
+        "seed = 5\n",
+        {
+            "suite.csv": (
+                "check,trials,passes,worst_slack,tolerance\n"
+                "equimeasurability,3,3,0,0\n"
+                "lp_norm_exact,3,3,0,0\n"
+                "value_invariance_exact,3,3,0,0\n"
+                "value_tails_exact,3,3,0,0\n"
+                "gradient_invariance_tol,3,3,0,4.8333631257334435\n"
+                "polya_szego_tol,3,3,0.0018899233402160931,4.8333631257334435\n"
+            ),
+            "summary.txt": (
+                "passed = True\n"
+            ),
+        }),
+    "polya-szego": (
+        "dim = 1\n"
+        "n = 9\n"
+        "trials = 3\n"
+        "seed = 5\n",
+        {
+            "polya_szego.csv": (
+                "trial,left,right,slack,tolerance,pass\n"
+                "0,3.1881044259603062,3.8333631257334435,0.64525869977313732,4.8333631257334435,1\n"
+                "1,2.6292138222580839,2.9237589750285173,0.29454515277043347,3.9237589750285173,1\n"
+                "2,2.132052643290999,2.2625856595326379,0.13053301624163893,3.2625856595326379,1\n"
+            ),
+        }),
+    "minimize": (
+        "dim = 1\n"
+        "n = 9\n"
+        "model = plaplace\n"
+        "max_steps = 4\n"
+        "k_pol = 2\n"
+        "seed = 5\n",
+        {
+            "diagnostics.txt": (
+                "status = max_steps_reached\n"
+                "E1 = 0.0036832736676550809\n"
+                "E2 = 0\n"
+                "E3 = 0\n"
+                "total = 0.0036832736676550809\n"
+                "dilation_E[1] = 0.41689417405392298\n"
+                "dilation_E[0.5] = 0.15090242141142596\n"
+                "dilation_E[0.25] = 0.06705769056780074\n"
+                "dilation_E[0.125] = 0.038648362040848379\n"
+                "lambda_1 = -0.0073665473353101635\n"
+                "residual_1 = 0.99828596337148212\n"
+                "deficit_1 = 0\n"
+                "grad_norm_gap_1 = 0\n"
+                "plateau_1 = 0\n"
+            ),
+            "final.rfld": (
+                "RFLD 1\n"
+                "1 1 9 4\n"
+                "0.29987874899691619\n"
+                "0.32735431697329848\n"
+                "0.33142661971912601\n"
+                "0.36841638321207321\n"
+                "0.37580568419646448\n"
+                "0.34198641902660393\n"
+                "0.32910447684632849\n"
+                "0.32150990009723351\n"
+                "0.29576114648079949\n"
+            ),
+            "trace.csv": (
+                "step,E1,E2,E3,total,eta,accepted\n"
+                "0,0.038648362040848379,0,0,0.038648362040848379,0,1\n"
+                "1,0.014725719046309158,0,0,0.014725719046309158,1,1\n"
+                "2,0.026347472627907841,0,0,0.026347472627907841,0,1\n"
+                "3,0.0024846933474526748,0,0,0.0024846933474526748,2.1459345240921093,1\n"
+                "4,0.0036832736676550809,0,0,0.0036832736676550809,0,1\n"
+            ),
+        }),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_outputs_match_golden(self, tmp_path, command):
+        config, expected = GOLDEN[command]
+        cfg = write_config(tmp_path, f"command = {command}\n{config}")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            data = (out / name).read_bytes()
+            if name.endswith(".csv"):
+                assert data.startswith(b"# generated ")
+            kept = [ln for ln in data.splitlines(keepends=True)
+                    if not ln.startswith(b"#")]
+            assert b"".join(kept) == text.encode(), name
+
+
+class TestWriters:
+    def test_csv_comment_first_and_floats_round_trip(self, tmp_path):
+        values = (-0.0, 1e-300, 0.1 + 0.2, np.float64(2.0) / 3.0)
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c", "d", "n"), [(*values, 7)])
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == 4 and lines[3] == b""
+        assert lines[0].startswith(b"# generated ")
+        assert lines[1] == b"a,b,c,d,n"
+        *cells, n = lines[2].decode().split(",")
+        assert n == "7" and len(cells) == len(values)
+        for cell, value in zip(cells, values):
+            assert float(cell) == value
+            assert math.copysign(1.0, float(cell)) == \
+                math.copysign(1.0, value)
 
 
 class TestFieldInput:

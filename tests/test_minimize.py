@@ -12,7 +12,7 @@ from polarmin.grid import (MultiField, ScalarField, gradient_components,
 from polarmin.minimize import (ConstraintVector, MinimizeConfig, descent_step,
                                dilate, dilation_scan, lagrange_residual,
                                minimize, project_constraints, symmetry_report)
-from polarmin.rearrange import schwarz, schwarz_multi
+from polarmin.rearrange import schwarz, schwarz_multi, symmetry_deficit
 from polarmin.verify import random_bump_field
 
 mn = importlib.import_module("polarmin.minimize")
@@ -251,20 +251,6 @@ class TestDescentAndMinimize:
                    if t.kind != "descent")
         assert any(t.kind == "schwarz" for t in res.trace)
 
-    def test_trace_csv(self, tmp_path):
-        spec = make_grid(1, 17, 4.0)
-        model = confined_toy_model()
-        c = ConstraintVector((1.0,))
-        U0 = project_constraints(random_multifield(spec, 1, 18), c, 2.0)
-        cfg = MinimizeConfig(model=model, constraints=c, spec=spec,
-                             initial=U0, eta=0.1, max_steps=10, k_pol=0)
-        res = minimize(cfg)
-        path = tmp_path / "trace.csv"
-        res.trace_to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,E1,E2,E3,total,eta,accepted"
-        assert len(lines) == 1 + len(res.trace)
-
     def test_config_validation(self):
         spec = make_grid(1, 5, 2.0)
         U = random_multifield(spec, 1, 0)
@@ -463,8 +449,9 @@ class TestSymmetryReport:
     def test_radial_field_clean_diagnostics(self):
         spec = make_grid(2, 17, 4.0)
         vals = np.exp(-spec.radii**2)
-        rep = symmetry_report(MultiField([ScalarField(spec, vals)]), 2.0)
-        assert rep.deficits[0] == 0.0
+        u = ScalarField(spec, vals)
+        assert symmetry_deficit(u, 2.0)[0] == 0.0
+        rep = symmetry_report(MultiField([u]), 2.0)
         assert rep.plateau_measure[0] == 0.0
         assert abs(rep.gradient_norm_gap[0]) <= 1e-12
 

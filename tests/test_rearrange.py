@@ -347,16 +347,6 @@ class TestIteratePolarizations:
         with pytest.raises(ValueError):
             PolarizationSchedule(max_iter=0)
 
-    def test_trace_csv_columns(self, tmp_path):
-        u = ScalarField(SPEC_1D, [0, 3, 1, 0, 0])
-        schedule = PolarizationSchedule(mode="sweep", max_iter=20, tol=1e-12)
-        _, trace = iterate_polarizations(MultiField([u]), schedule)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,normal,offset,rel_dist_1"
-        assert lines[1].startswith("0,,")
-
 
 class TestIterateOracle:
     @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
