@@ -1,7 +1,8 @@
 """Dilation scan plus constrained minimization for a catalogue model.
 
 Locates a negative-energy dilation of a random bump, symmetrizes it, runs
-the constrained minimizer, and writes the descent trace and diagnostics.
+the constrained minimizer, writes its files as ``polarmin minimize`` does
+(``cli.write_minimize_run``) and prints the diagnostics.
 """
 
 import argparse
@@ -10,8 +11,8 @@ import pathlib
 import numpy as np
 
 from polarmin import models
-from polarmin.cli import write_minimize_trace
-from polarmin.grid import MultiField, lp_norm, make_grid, write_field
+from polarmin.cli import write_minimize_run
+from polarmin.grid import MultiField, make_grid
 from polarmin.minimize import (ConstraintVector, MinimizeConfig,
                                dilation_scan, minimize, project_constraints)
 from polarmin.rearrange import schwarz_multi
@@ -44,9 +45,7 @@ def main():
         c, model.p)
 
     scan = dilation_scan(U0, model, c)
-    for delta, energy, _ in scan:
-        print(f"dilation {delta:<6g} energy {energy:+.6f}")
-    _, best_energy, best_U = min(scan, key=lambda t: t[1])
+    best_U = min(scan, key=lambda t: t[1])[2]
     init = project_constraints(schwarz_multi(best_U), c, model.p)
 
     cfg = MinimizeConfig(model=model, constraints=c, spec=spec, initial=init,
@@ -56,23 +55,11 @@ def main():
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_minimize_trace(out / "trace.csv", res.trace)
-    write_field(res.U, out / "final.rfld")
-    last = res.trace[-1]
-    lines = [f"status = {res.status}",
-             f"steps = {len(res.trace) - 1}",
-             f"evaluations = {res.evaluations}",
-             f"scan_best_energy = {best_energy:.6e}",
-             f"final_energy = {last.total:.6e}"]
-    for i in range(res.U.m):
-        mass = lp_norm(res.U.components[i], model.p) ** model.p
-        lines += [f"mass_{i + 1} = {mass:.12f}",
-                  f"lambda_{i + 1} = {res.multipliers[i]:.6e}",
-                  f"residual_{i + 1} = {res.residuals[i]:.3e}",
-                  f"deficit_{i + 1} = {res.deficits[i]:.3e}"]
-    lines += [f"warning: {w}" for w in res.warnings]
-    (out / "diagnostics.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    write_minimize_run(out, res, model.p,
+                       [(f"dilation_E[{d:g}]", e) for d, e, _ in scan]
+                       + [("steps", len(res.trace) - 1),
+                          ("evaluations", res.evaluations)])
+    print((out / "diagnostics.txt").read_text(), end="")
 
 
 if __name__ == "__main__":

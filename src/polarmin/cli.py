@@ -6,7 +6,8 @@ Every output file is written with LF line ends and is byte-identical for
 identical config and seed: the CSVs (``write_csv``), ``summary.txt`` and
 ``diagnostics.txt`` (``write_keys``) and ``final.rfld``.  The only
 non-deterministic content is the ``# generated <timestamp>`` line that
-opens each CSV.
+opens each CSV.  ``write_minimize_run`` writes all three files of a
+minimize run, for ``polarmin minimize`` and ``scripts/ground_state.py``.
 """
 
 from __future__ import annotations
@@ -164,11 +165,27 @@ def write_keys(path, pairs) -> None:
             fh.write(f"{key} = {_cell(value)}\n")
 
 
-def write_minimize_trace(path, trace) -> None:
-    """``trace.csv`` of a minimizer run: one row per ``TraceStep``."""
-    write_csv(path, ("step", "E1", "E2", "E3", "total", "eta", "accepted"),
+def write_minimize_run(out, result, p, extra) -> None:
+    """Write a minimize run's ``trace.csv``, ``final.rfld`` and
+    ``diagnostics.txt`` into ``out``; the ``(key, value)`` pairs of
+    ``extra`` follow ``total`` in ``diagnostics.txt``."""
+    write_csv(os.path.join(out, "trace.csv"),
+              ("step", "E1", "E2", "E3", "total", "eta", "accepted"),
               [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, int(t.accepted))
-               for t in trace])
+               for t in result.trace])
+    write_field(result.U, os.path.join(out, "final.rfld"))
+    diag = symmetry_report(result.U, p)
+    final = result.trace[-1]
+    pairs = [("status", result.status), ("E1", final.E1), ("E2", final.E2),
+             ("E3", final.E3), ("total", final.total), *extra]
+    for i in range(result.U.m):
+        pairs += [(f"lambda_{i + 1}", result.multipliers[i]),
+                  (f"residual_{i + 1}", result.residuals[i]),
+                  (f"deficit_{i + 1}", result.deficits[i]),
+                  (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
+                  (f"plateau_{i + 1}", diag.plateau_measure[i])]
+    pairs += [("warning", w) for w in result.warnings]
+    write_keys(os.path.join(out, "diagnostics.txt"), pairs)
 
 
 def _initial_field(cfg: types.SimpleNamespace, spec, rng) -> MultiField:
@@ -240,26 +257,11 @@ def _run_minimize(cfg: types.SimpleNamespace, out: str) -> int:
     if cfg.init == "dilation_scan":
         scan = dilation_scan(U0, model, cvec, deltas=(1.0, 0.5, 0.25, 0.125))
         scan_pairs = [(f"dilation_E[{d:g}]", e) for d, e, _ in scan]
-        best = min(scan, key=lambda t: t[1])
-        U0 = best[2]
+        U0 = min(scan, key=lambda t: t[1])[2]
     mconf = MinimizeConfig(model=model, constraints=cvec, spec=spec,
                            initial=U0, eta=cfg.eta, max_steps=cfg.max_steps,
                            grad_tol=cfg.grad_tol, k_pol=cfg.k_pol)
-    result = minimize(mconf)
-    write_minimize_trace(os.path.join(out, "trace.csv"), result.trace)
-    write_field(result.U, os.path.join(out, "final.rfld"))
-    diag = symmetry_report(result.U, model.p)
-    final = result.trace[-1]
-    pairs = [("status", result.status), ("E1", final.E1), ("E2", final.E2),
-             ("E3", final.E3), ("total", final.total), *scan_pairs]
-    for i in range(model.m):
-        pairs += [(f"lambda_{i + 1}", result.multipliers[i]),
-                  (f"residual_{i + 1}", result.residuals[i]),
-                  (f"deficit_{i + 1}", result.deficits[i]),
-                  (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
-                  (f"plateau_{i + 1}", diag.plateau_measure[i])]
-    pairs += [("warning", w) for w in result.warnings]
-    write_keys(os.path.join(out, "diagnostics.txt"), pairs)
+    write_minimize_run(out, minimize(mconf), model.p, scan_pairs)
     return 0
 
 

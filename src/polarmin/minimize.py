@@ -84,6 +84,12 @@ def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
     return U, energy, eta, False, evaluations
 
 
+def _constraint_normal(u: np.ndarray, p: float, hN: float) -> np.ndarray:
+    """sign(u) |u|^(p-1) h^N, the gradient of (1/p) sum |u|^p h^N; at p < 2
+    the form u |u|^(p-2) is 0 * inf = nan where u = 0."""
+    return np.sign(u) * np.abs(u) ** (p - 1.0) * hN
+
+
 def lagrange_residual(U: MultiField, grad: MultiField, p: float):
     """Least-squares multipliers along the constraint normals and the
     relative Euler-Lagrange residuals; grad is U's discrete_gradient."""
@@ -93,7 +99,7 @@ def lagrange_residual(U: MultiField, grad: MultiField, p: float):
         uv, gv = u.values.ravel(), g.values.ravel()
         if not np.any(uv):
             raise ValueError("residual undefined for zero component")
-        phi = uv * np.abs(uv) ** (p - 2.0) * hN
+        phi = _constraint_normal(uv, p, hN)
         denom = float(np.dot(phi, uv))
         lam = -float(np.dot(gv, uv)) / denom
         gnorm = float(np.linalg.norm(gv))
@@ -213,8 +219,8 @@ def _tangent_direction(U: MultiField, grad: MultiField, p: float,
                        symbol: np.ndarray):
     """The P-metric tangent gradient and its P^-1 image, per component.
 
-    d_i = P g_i - mu_i P phi_i with phi_i = u_i |u_i|^(p-2) h^N, the
-    constraint normal, and mu_i = <P g_i, phi_i> / <P phi_i, phi_i>, so
+    d_i = P g_i - mu_i P phi_i with phi_i the constraint normal
+    (_constraint_normal), and mu_i = <P g_i, phi_i> / <P phi_i, phi_i>, so
     that <d_i, phi_i> = 0.  mu_i comes from DST coefficients, where P is
     diagonal; r_i = P^-1 d_i = g_i - mu_i phi_i needs no transform.
     Returns (d as a MultiField, [r_i]).
@@ -222,7 +228,7 @@ def _tangent_direction(U: MultiField, grad: MultiField, p: float,
     hN = U.spec.cell_volume
     dirs, rs = [], []
     for u, g in zip(U.components, grad.components):
-        phi = u.values * np.abs(u.values) ** (p - 2.0) * hN
+        phi = _constraint_normal(u.values, p, hN)
         g_hat, phi_hat = _dst(g.values), _dst(phi)
         p_phi_hat = phi_hat / symbol
         mu = float(np.vdot(g_hat, p_phi_hat)) / float(np.vdot(phi_hat,

@@ -278,8 +278,6 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
-    if not family:
-        raise ValueError("empty admissible half-space family")
     rng = np.random.default_rng(schedule.seed)
     p = schedule.p
 

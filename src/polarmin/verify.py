@@ -12,8 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
-                     _require_finite, eval_total)
+from .energy import EnergyModel, IntegrandJ, _require_finite, eval_total
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
                    gradient_magnitude)
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
@@ -113,12 +112,12 @@ def check_local_monotonicity(U: MultiField, F, H: HalfSpace) -> InequalityReport
                             resolution=U.spec.points_per_axis)
 
 
-def check_nonlocal_monotonicity(U: MultiField, G: CouplingG, V: KernelV,
-                                H: HalfSpace, p: float = 2.0,
+def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
+                                H: HalfSpace,
                                 method: str = "direct") -> InequalityReport:
-    """Q(U^H) >= Q(U) for the positive nonlocal double sum."""
-    model = EnergyModel(p=p, p_star=2 * p,
-                        js=[_gradient_free_power(p)] * U.m, G=G, V=V)
+    """Q(U^H) >= Q(U) for Q = -E3 of model, the positive nonlocal sum."""
+    if model.G is None:
+        raise ValueError("model has no nonlocal term")
     q_before = -eval_total(U, model, method).E3
     q_after = -eval_total(polarize_multi(U, H), model, method).E3
     return InequalityReport("nonlocal_monotonicity",

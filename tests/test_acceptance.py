@@ -193,8 +193,7 @@ def test_nonlocal_monotonicity():
         for _ in range(25):
             U = MultiField([random_bump_field(spec, rng) for _ in range(m)])
             H = family[rng.integers(len(family))]
-            rep = check_nonlocal_monotonicity(U, model.G, model.V, H,
-                                              method="direct")
+            rep = check_nonlocal_monotonicity(U, model, H, method="direct")
             failures += int(not rep.passed)
             worst = min(worst, rep.slack)
     elapsed = time.time() - t0

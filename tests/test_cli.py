@@ -64,6 +64,9 @@ class TestParseConfig:
         ("tol = inf", "must be finite"),
         ("eta = -inf", "must be finite"),
         ("c = 1.0, nan", "entries must be finite"),
+        ("tol = 0", "tol must be positive"),
+        ("eta = 0", "eta must be positive"),
+        ("trials = 0", "trials must be >= 1"),
     ])
     def test_value_validation(self, line, frag):
         with pytest.raises(ConfigError, match=frag):
@@ -452,6 +455,17 @@ class TestErrorsExitTwo:
         assert capsys.readouterr().err.splitlines() == [
             f"error: field has {components} components, constraint vector "
             f"has length {m}"]
+        assert not (out / "final.rfld").exists()
+
+    def test_minimize_constraint_length(self, tmp_path, capsys):
+        cfg = write_config(tmp_path,
+                           "command = minimize\ndim = 1\nn = 9\n"
+                           "model = plaplace\nm = 1\nc = 1.0, 2.0\n")
+        out = tmp_path / "o"
+        code = main(["minimize", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: constraint vector length must match m"]
         assert not (out / "final.rfld").exists()
 
 

@@ -346,3 +346,46 @@ class TestAssumptions:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             check_assumptions(models.plaplace(), 0, 0)
+
+    @staticmethod
+    def local_model(weight, f2_triple=None):
+        """m = 1 and F(r, s) = weight(r) s^2: F3's radius/value inequality
+        holds exactly when weight is non-increasing."""
+        F = LocalTermF(f=lambda r, s: weight(r) * s[0]**2,
+                       df_ds=lambda r, s: [2.0 * weight(r) * s[0]],
+                       growth_K=1.0, exponents_l=(1.0,), f2_triple=f2_triple)
+        return EnergyModel(p=2.0, p_star=6.0, js=[J_DIRICHLET], F=F)
+
+    def test_f2_sampled_from_triple(self):
+        # e^-r s^2 <= eps s^2 for all r >= R0 exactly when e^-R0 <= eps
+        ok = check_assumptions(self.local_model(decaying, (1e-2, 5.0, 1.0)),
+                               300, 11)
+        assert ok.passed, ok.failures()
+        assert "F2" in {c.name for c in ok.checks}
+        bad = check_assumptions(self.local_model(decaying, (1e-3, 1.0, 1.0)),
+                                300, 11)
+        [f2] = bad.failures()
+        assert f2.name == "F2"
+        r, (s,) = f2.witness
+        assert r >= 1.0 and 0.0 <= s <= 1.0
+        assert decaying(r) * s**2 > 1e-3 * s**2
+
+    def test_f3_radius_value_inequality(self):
+        ok = check_assumptions(self.local_model(decaying), 300, 11)
+        assert ok.passed, ok.failures()
+        assert "F3" in {c.name for c in ok.checks}
+        bad = check_assumptions(self.local_model(growing), 300, 11)
+        [f3] = bad.failures()
+        assert f3.name == "F3"
+        kind, r, R, (y,), hh, i = f3.witness
+        assert kind == "r-supermod" and i == 0 and R >= r
+        assert (growing(r) * (y + hh)**2 + growing(R) * y**2
+                < growing(R) * (y + hh)**2 + growing(r) * y**2)
+
+
+def decaying(r):
+    return np.exp(-r)
+
+
+def growing(r):
+    return 1.0 - np.exp(-r)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,28 @@ class TestDescentAndMinimize:
         descents = [t.total for t in res.trace
                     if t.kind == "descent" and t.accepted]
         assert all(b <= a for a, b in zip(descents, descents[1:]))
+
+    @pytest.mark.parametrize("p", [1.5, 1.2])
+    def test_start_with_zeros_below_p_two(self, p):
+        """The constraint normal stays finite where u = 0 at p < 2; written
+        as u |u|^(p-2) it is 0 * inf there."""
+        spec = make_grid(2, 17, 4.0)
+        u = np.where(np.abs(spec.coords[..., 0]) > 2.5, 0.0,
+                     np.exp(-spec.radii**2 / 2.0))
+        c = ConstraintVector((1.0,))
+        U0 = project_constraints(MultiField([ScalarField(spec, u)]), c, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = minimize(MinimizeConfig(
+                model=models.plaplace(m=1, dim=2, p=p), constraints=c,
+                spec=spec, initial=U0, eta=0.1, max_steps=300,
+                grad_tol=1e-12, k_pol=0))
+        assert res.status == "max_steps_reached" and len(res.trace) == 301
+        totals = [t.total for t in res.trace]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        assert totals[-1] < totals[0]
+        assert all(np.isfinite(t.residual) for t in res.trace[1:])
+        assert all(np.isfinite(res.residuals + res.multipliers))
 
     def test_trace_residual_per_step(self):
         spec = make_grid(1, 33, 4.0)

@@ -308,8 +308,7 @@ class TestNonlocalMonotonicity:
         for _ in range(5):
             U = MultiField([random_bump_field(spec, rng) for _ in range(2)])
             H = family[rng.integers(len(family))]
-            rep = check_nonlocal_monotonicity(U, model.G, model.V, H,
-                                              method="direct")
+            rep = check_nonlocal_monotonicity(U, model, H, method="direct")
             assert rep.passed
 
     def test_fixed_point_exact(self):
@@ -317,9 +316,16 @@ class TestNonlocalMonotonicity:
         model = models.choquard(m=1, dim=3)
         # radial decreasing: the polarization leaves every value in place
         u = ScalarField(spec, np.exp(-spec.radii**2))
-        rep = check_nonlocal_monotonicity(MultiField([u]), model.G, model.V,
+        rep = check_nonlocal_monotonicity(MultiField([u]), model,
                                           HalfSpace((1, 0, 0), -0.5))
         assert rep.slack == 0.0
+
+    def test_model_without_nonlocal_term_rejected(self):
+        spec = make_grid(3, 7, 2.0)
+        U = MultiField([ScalarField(spec, np.exp(-spec.radii**2))])
+        with pytest.raises(ValueError, match="no nonlocal term"):
+            check_nonlocal_monotonicity(U, models.plaplace(),
+                                        HalfSpace((1, 0, 0), -0.5))
 
 
 class TestEquiintegrability:
