@@ -21,13 +21,9 @@ import argparse
 
 import numpy as np
 
-from polarmin.energy import IntegrandJ
+from polarmin import models
 from polarmin.grid import make_grid
 from polarmin.verify import bump_params, check_polya_szego, eval_bumps
-
-J2 = IntegrandJ(j=lambda s, b: b**2,
-                dj_ds=lambda s, b: np.zeros_like(np.asarray(s, float)),
-                dj_db=lambda s, b: 2.0 * b)
 
 
 def main():
@@ -47,6 +43,7 @@ def main():
     if bump_half_width <= 0:
         ap.error("--bump-half-width must be positive")
 
+    j2 = models.plaplace(p=2.0, dim=args.dim).js[0]
     rng = np.random.default_rng(args.seed)
     fields = [bump_params(rng, args.dim, bump_half_width)
               for _ in range(args.fields)]
@@ -55,7 +52,7 @@ def main():
         spec = make_grid(args.dim, n, args.half_width)
         worst, worst_rel, tol = 0.0, 0.0, 0.0
         for params in fields:
-            rep = check_polya_szego(eval_bumps(spec, params), J2)
+            rep = check_polya_szego(eval_bumps(spec, params), j2)
             violation = -min(rep.slack, 0.0)
             worst = max(worst, violation)
             worst_rel = max(worst_rel, violation / (1.0 + abs(rep.right)))

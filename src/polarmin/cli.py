@@ -184,7 +184,6 @@ def write_minimize_run(out, result, p, extra) -> None:
                   (f"deficit_{i + 1}", result.deficits[i]),
                   (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
                   (f"plateau_{i + 1}", diag.plateau_measure[i])]
-    pairs += [("warning", w) for w in result.warnings]
     write_keys(os.path.join(out, "diagnostics.txt"), pairs)
 
 

@@ -66,20 +66,21 @@ class CouplingG:
 class KernelV:
     """Radial non-increasing interaction kernel V(r), r > 0.
 
-    q is the declared weak-L^q exponent (documentation only).  origin_rule
-    is one of "cell_average", "zero", or ("explicit", value) and fixes the
-    kernel value at zero offset.
+    origin_rule is one of "cell_average", "zero", or ("explicit", value)
+    and fixes the kernel value at zero offset.  The weak-L^q membership of
+    V is a hypothesis of the model, not a parameter: nothing reads it.
     """
 
     v: callable
-    q: float
     origin_rule: object = "cell_average"
 
 
 @dataclasses.dataclass
 class EnergyModel:
+    """js (one gradient integrand per component), optional F, and G with V
+    together; p is the exponent of the L^p constraint spheres."""
+
     p: float
-    p_star: float
     js: list
     F: LocalTermF | None = None
     G: CouplingG | None = None
@@ -87,8 +88,6 @@ class EnergyModel:
     name: str = "custom"
 
     def __post_init__(self):
-        if not self.p_star > self.p:
-            raise ValueError("p* must exceed p")
         if (self.G is None) != (self.V is None):
             raise ValueError("coupling G and kernel V must be configured together")
 

@@ -23,7 +23,6 @@ from .energy import (EnergyBreakdown, EnergyModel, discrete_gradient,
                      eval_total)
 from .grid import GridSpec, MultiField, ScalarField, gradient_magnitude, lp_norm
 from .rearrange import schwarz, schwarz_multi, symmetry_deficit
-from .verify import grad_tol
 
 
 @dataclasses.dataclass
@@ -187,7 +186,6 @@ class MinimizeResult:
     residuals: tuple
     deficits: tuple
     status: str  # converged | stalled | max_steps_reached
-    warnings: list
     evaluations: int  # eval_total calls over the whole run
 
 
@@ -256,10 +254,14 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     (_tangent_direction) with a Barzilai-Borwein trial step (config.eta for
     the first step, and the last step length used whenever <s, y> <= 0),
     then clamps, projects and halves as descent_step does.  Every k_pol
-    steps the iterate is replaced by its component-wise Schwarz
-    rearrangement (re-projected), the direction is recomputed and the trial
-    step kept; an energy increase beyond the discretization tolerance is
-    surfaced as a warning.  The run converges when the Euclidean
+    steps the component-wise Schwarz rearrangement of the iterate
+    (re-projected) is a candidate, kept by the strict test descent_step
+    applies: only when its energy is lower.  A kept candidate replaces the
+    iterate, and its direction is recomputed with the trial step kept; a
+    rejected one leaves the iterate, direction and trial step as they were
+    and is traced as a row with accepted False and the kept iterate's
+    energies.  So the trace totals never increase and the last row always
+    describes the returned field.  The run converges when the Euclidean
     Euler-Lagrange residual (lagrange_residual) is at most grad_tol.  Each
     field is evaluated once: its EnergyBreakdown fills the trace row and
     its potential gives the gradient for the residual and the next step.
@@ -271,7 +273,6 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     grad = discrete_gradient(U, model, bk)
     direction, r = _tangent_direction(U, grad, p, symbol)
     trace = [TraceStep(0, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True, "initial")]
-    warnings = []
     eta = config.eta
     status = "max_steps_reached"
 
@@ -279,16 +280,13 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
         if config.k_pol > 0 and step % config.k_pol == 0:
             sym = project_constraints(schwarz_multi(U), c, p)
             sym_bk = eval_total(sym, model)
-            tol = grad_tol(U.spec.h, bk.total)
-            if sym_bk.total > bk.total + tol:
-                warnings.append(
-                    f"step {step}: symmetrization raised energy by "
-                    f"{sym_bk.total - bk.total:.3e} (tol {tol:.3e})")
-            U, bk = sym, sym_bk
-            grad = discrete_gradient(U, model, bk)
-            direction, r = _tangent_direction(U, grad, p, symbol)
+            accepted = sym_bk.total < bk.total
+            if accepted:
+                U, bk = sym, sym_bk
+                grad = discrete_gradient(U, model, bk)
+                direction, r = _tangent_direction(U, grad, p, symbol)
             trace.append(TraceStep(step, bk.E1, bk.E2, bk.E3,
-                                   bk.total, 0.0, True, "schwarz"))
+                                   bk.total, 0.0, accepted, "schwarz"))
             continue
         U_new, bk, eta_used, accepted, evaluations = descent_step(
             U, model, c, eta, bk, direction)
@@ -315,7 +313,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     lams, residuals = lagrange_residual(U, grad, p)
     deficits = tuple(symmetry_deficit(comp, p)[0] for comp in U.components)
     return MinimizeResult(U, trace, lams, residuals, deficits, status,
-                          warnings, sum(t.evaluations for t in trace))
+                          sum(t.evaluations for t in trace))
 
 
 @dataclasses.dataclass

@@ -4,7 +4,9 @@ Positive models: ``example_paper`` (dampened Dirichlet integrand with a
 Coulomb-coupled quadratic nonlocal term), ``plaplace`` (pure gradient term
 b^p), ``choquard`` (b^2 with G = s^2 and V = 1/r).  Negative controls
 ``nonmonotone_g`` and ``nonsupermodular_f`` intentionally violate the
-structural assumptions and exist for the assumption sampler.
+structural assumptions and exist for the assumption sampler.  Every
+builder takes ``m`` and ``dim`` so that ``by_name`` calls them alike; no
+built-in model depends on ``dim``.
 """
 
 from __future__ import annotations
@@ -12,12 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .energy import CouplingG, EnergyModel, IntegrandJ, KernelV, LocalTermF
-
-
-def _p_star(p: float, dim: int) -> float:
-    if p < dim:
-        return p * dim / (dim - p)
-    return 2.0 * p  # arbitrary fixed choice for p >= N
 
 
 def _dampened_dirichlet() -> IntegrandJ:
@@ -51,18 +47,16 @@ def _sum_of_squares(m: int) -> CouplingG:
     )
 
 
-def _coulomb(q: float = 3.0) -> KernelV:
-    return KernelV(v=lambda r: 1.0 / r, q=q, origin_rule="cell_average")
+def _coulomb() -> KernelV:
+    return KernelV(v=lambda r: 1.0 / r, origin_rule="cell_average")
 
 
 def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:
-    p = 2.0
     return EnergyModel(
-        p=p,
-        p_star=_p_star(p, dim),
+        p=2.0,
         js=[_dampened_dirichlet() for _ in range(m)],
         G=_sum_of_squares(m),
-        V=_coulomb(q=3.0),
+        V=_coulomb(),
         name="example_paper",
     )
 
@@ -70,49 +64,42 @@ def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:
 def plaplace(m: int = 1, dim: int = 3, p: float = 2.0) -> EnergyModel:
     return EnergyModel(
         p=p,
-        p_star=_p_star(p, dim),
         js=[_power_integrand(p) for _ in range(m)],
         name="plaplace",
     )
 
 
 def choquard(m: int = 1, dim: int = 3) -> EnergyModel:
-    p = 2.0
     return EnergyModel(
-        p=p,
-        p_star=_p_star(p, dim),
+        p=2.0,
         js=[_power_integrand(2.0) for _ in range(m)],
         G=_sum_of_squares(m),
-        V=_coulomb(q=3.0),
+        V=_coulomb(),
         name="choquard",
     )
 
 
 def nonmonotone_g(dim: int = 3) -> EnergyModel:
     """Negative control: G(s1, s2) = s1 - s2 is decreasing in s2."""
-    p = 2.0
     g = CouplingG(
         g=lambda s: s[0] - s[1],
         dg_ds=lambda s: [np.ones_like(s[0]), -np.ones_like(s[1])],
         growth_K=1.0,
         exponents_mu=(2.0, 2.0),
     )
-    return EnergyModel(p=p, p_star=_p_star(p, dim),
-                       js=[_power_integrand(2.0) for _ in range(2)],
+    return EnergyModel(p=2.0, js=[_power_integrand(2.0) for _ in range(2)],
                        G=g, V=_coulomb(), name="nonmonotone_g")
 
 
 def nonsupermodular_f(dim: int = 3) -> EnergyModel:
     """Negative control: F(r, s1, s2) = -s1*s2 is submodular and negative."""
-    p = 2.0
     f = LocalTermF(
         f=lambda r, s: -s[0] * s[1],
         df_ds=lambda r, s: [-s[1], -s[0]],
         growth_K=1.0,
         exponents_l=(1.0, 1.0),
     )
-    return EnergyModel(p=p, p_star=_p_star(p, dim),
-                       js=[_power_integrand(2.0) for _ in range(2)],
+    return EnergyModel(p=2.0, js=[_power_integrand(2.0) for _ in range(2)],
                        F=f, name="nonsupermodular_f")
 
 

@@ -2,7 +2,7 @@
 
 Exact-class checks (value-only integrals, equimeasurability, value tails)
 must hold to rounding; gradient-integral checks carry an h-dependent
-tolerance tol(h) = C_tol * sqrt(h) * (1 + |I|) because polarization
+tolerance tol(h) = sqrt(h) * (1 + |I|) because polarization
 interfaces contribute O(h) mismatched cells.
 """
 
@@ -15,11 +15,9 @@ import numpy as np
 from .energy import EnergyModel, IntegrandJ, _require_finite, eval_total
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
                    gradient_magnitude)
+from .models import plaplace
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
                         polarize_multi, schwarz)
-
-DEFAULT_C_TOL = 1.0
-
 
 @dataclasses.dataclass
 class InequalityReport:
@@ -27,7 +25,6 @@ class InequalityReport:
     left: float
     right: float
     tolerance: float
-    resolution: int
 
     @property
     def slack(self) -> float:
@@ -38,8 +35,8 @@ class InequalityReport:
         return self.slack >= -self.tolerance
 
 
-def grad_tol(h: float, reference: float, c_tol: float = DEFAULT_C_TOL) -> float:
-    return c_tol * np.sqrt(h) * (1.0 + abs(reference))
+def grad_tol(h: float, reference: float) -> float:
+    return np.sqrt(h) * (1.0 + abs(reference))
 
 
 def _j_integral(u: ScalarField, j: IntegrandJ) -> float:
@@ -61,32 +58,29 @@ def _j_integral(u: ScalarField, j: IntegrandJ) -> float:
 
 
 def _invariance_report(spec: GridSpec, j: IntegrandJ, i_val: float,
-                       ih_val: float, c_tol: float) -> InequalityReport:
-    tol = 0.0 if not j.depends_on_gradient else grad_tol(spec.h, i_val, c_tol)
+                       ih_val: float) -> InequalityReport:
+    tol = 0.0 if not j.depends_on_gradient else grad_tol(spec.h, i_val)
     # equality check: order left/right so slack = -(|I^H - I|), which is
     # +0.0, not -0.0, when the integrals agree
     return InequalityReport("polarization_invariance",
                             left=abs(ih_val - i_val), right=0.0,
-                            tolerance=tol, resolution=spec.points_per_axis)
+                            tolerance=tol)
 
 
-def _polya_szego_report(spec: GridSpec, right: float, left: float,
-                        c_tol: float) -> InequalityReport:
+def _polya_szego_report(spec: GridSpec, right: float,
+                        left: float) -> InequalityReport:
     return InequalityReport("polya_szego", left=left, right=right,
-                            tolerance=grad_tol(spec.h, right, c_tol),
-                            resolution=spec.points_per_axis)
+                            tolerance=grad_tol(spec.h, right))
 
 
 def check_polarization_invariance(u: ScalarField, j: IntegrandJ,
-                                  H: HalfSpace,
-                                  c_tol: float = DEFAULT_C_TOL) -> InequalityReport:
+                                  H: HalfSpace) -> InequalityReport:
     """I^H = I for homogeneous integrals; exact when j ignores the gradient."""
     return _invariance_report(u.spec, j, _j_integral(u, j),
-                              _j_integral(polarize(u, H), j), c_tol)
+                              _j_integral(polarize(u, H), j))
 
 
-def check_polya_szego(u: ScalarField, j: IntegrandJ,
-                      c_tol: float = DEFAULT_C_TOL) -> InequalityReport:
+def check_polya_szego(u: ScalarField, j: IntegrandJ) -> InequalityReport:
     """Generalized Polya-Szego: the j-integral does not increase under
     Schwarz rearrangement.
 
@@ -97,7 +91,7 @@ def check_polya_szego(u: ScalarField, j: IntegrandJ,
     lattice slack decays like sqrt(h), the rate ``grad_tol`` allows for.
     """
     return _polya_szego_report(u.spec, _j_integral(u, j),
-                               _j_integral(schwarz(u), j), c_tol)
+                               _j_integral(schwarz(u), j))
 
 
 def check_local_monotonicity(U: MultiField, F, H: HalfSpace) -> InequalityReport:
@@ -108,8 +102,7 @@ def check_local_monotonicity(U: MultiField, F, H: HalfSpace) -> InequalityReport
     UH = polarize_multi(U, H)
     after = float(np.sum(F.f(r, [c.values for c in UH.components]))) * hN
     return InequalityReport("local_monotonicity", left=before, right=after,
-                            tolerance=1e-12,
-                            resolution=U.spec.points_per_axis)
+                            tolerance=1e-12)
 
 
 def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
@@ -122,8 +115,7 @@ def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
     q_after = -eval_total(polarize_multi(U, H), model, method).E3
     return InequalityReport("nonlocal_monotonicity",
                             left=q_before, right=q_after,
-                            tolerance=1e-10 * (1.0 + abs(q_before)),
-                            resolution=U.spec.points_per_axis)
+                            tolerance=1e-10 * (1.0 + abs(q_before)))
 
 
 def _gradient_free_power(p: float) -> IntegrandJ:
@@ -209,12 +201,6 @@ def _value_tails(a: np.ndarray, r: float, deltas, levels, hN: float):
     return small, large
 
 
-def _ascending_abs(v: np.ndarray) -> np.ndarray:
-    """|v| in ascending order, from the ascending values v: taking |.|
-    keeps the order unless v has negative entries, which cost a sort."""
-    return np.sort(np.abs(v)) if v[0] < 0 else np.abs(v)
-
-
 # --- random fields and the aggregated property suite ------------------------
 
 def bump_params(rng: np.random.Generator, dim: int, half_width: float) -> list:
@@ -276,17 +262,15 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     family = admissible_half_spaces(spec)
-    j_grad = IntegrandJ(j=lambda s, b: b**2,
-                        dj_ds=lambda s, b: np.zeros_like(np.asarray(s, float)),
-                        dj_db=lambda s, b: 2.0 * b)
+    j_grad = plaplace(p=2.0, dim=spec.dim).js[0]
     j_value = _gradient_free_power(2.0)
 
     hN = spec.cell_volume
 
     def value_integral(a):
         # j_value(s) = |s|^2 is nondecreasing in |s|, so over the ascending
-        # |values| a its terms are already in the ascending order that
-        # _j_integral sums them in
+        # nonnegative values a its terms are already in the ascending order
+        # that _j_integral sums them in
         vals = j_value.j(a, np.zeros_like(a))
         _require_finite(vals, "integrand")
         return float(np.sum(vals)) * hN
@@ -307,36 +291,36 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         us = schwarz(u)
 
         # one sort per field serves every value-class check; the three
-        # sorts stay independent, since equimeasurability compares them
+        # sorts stay independent, since equimeasurability compares them.
+        # polarize and schwarz reject negative fields, so the ascending
+        # values are also the ascending |values|.
         sorted_u, sorted_uh, sorted_us = (np.sort(f.values, axis=None)
                                           for f in (u, uh, us))
         same = (np.array_equal(sorted_u, sorted_uh)
                 and np.array_equal(sorted_u, sorted_us))
         record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
-        abs_u, abs_uh, abs_us = (_ascending_abs(v)
-                                 for v in (sorted_u, sorted_uh, sorted_us))
 
-        norm_match = (_lp_norm_sorted(abs_u, 2.0, hN)
-                      == _lp_norm_sorted(abs_uh, 2.0, hN)
-                      == _lp_norm_sorted(abs_us, 2.0, hN))
+        norm_match = (_lp_norm_sorted(sorted_u, 2.0, hN)
+                      == _lp_norm_sorted(sorted_uh, 2.0, hN)
+                      == _lp_norm_sorted(sorted_us, 2.0, hN))
         record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
 
-        rep = _invariance_report(spec, j_value, value_integral(abs_u),
-                                 value_integral(abs_uh), DEFAULT_C_TOL)
+        rep = _invariance_report(spec, j_value, value_integral(sorted_u),
+                                 value_integral(sorted_uh))
         record("value_invariance_exact", rep.passed, rep.slack, rep.tolerance)
 
         small, large = zip(*(_value_tails(a, 2.0, (0.1,), (0.5,), hN)
-                             for a in (abs_u, abs_uh, abs_us)))
+                             for a in (sorted_u, sorted_uh, sorted_us)))
         tails_const = np.ptp(small) == 0.0 and np.ptp(large) == 0.0
         record("value_tails_exact", tails_const,
                0.0 if tails_const else -1.0, 0.0)
 
         # one |Du| per field: I(u) serves both gradient checks
         i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
-        rep = _invariance_report(spec, j_grad, i_u, i_uh, DEFAULT_C_TOL)
+        rep = _invariance_report(spec, j_grad, i_u, i_uh)
         record("gradient_invariance_tol", rep.passed, rep.slack, rep.tolerance)
 
-        rep = _polya_szego_report(spec, i_u, i_us, DEFAULT_C_TOL)
+        rep = _polya_szego_report(spec, i_u, i_us)
         record("polya_szego_tol", rep.passed, rep.slack, rep.tolerance)
 
     order = ["equimeasurability", "lp_norm_exact", "value_invariance_exact",

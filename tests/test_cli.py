@@ -275,40 +275,40 @@ GOLDEN = {
         {
             "diagnostics.txt": (
                 "status = max_steps_reached\n"
-                "E1 = 0.0036832736676550809\n"
+                "E1 = 0.0023424264140141722\n"
                 "E2 = 0\n"
                 "E3 = 0\n"
-                "total = 0.0036832736676550809\n"
+                "total = 0.0023424264140141722\n"
                 "dilation_E[1] = 0.41689417405392298\n"
                 "dilation_E[0.5] = 0.15090242141142596\n"
                 "dilation_E[0.25] = 0.06705769056780074\n"
                 "dilation_E[0.125] = 0.038648362040848379\n"
-                "lambda_1 = -0.0073665473353101635\n"
-                "residual_1 = 0.99828596337148212\n"
-                "deficit_1 = 0\n"
-                "grad_norm_gap_1 = 0\n"
+                "lambda_1 = -0.0046848528280283436\n"
+                "residual_1 = 0.9954046481431279\n"
+                "deficit_1 = 0.18801950498638825\n"
+                "grad_norm_gap_1 = -0.03786015880539053\n"
                 "plateau_1 = 0\n"
             ),
             "final.rfld": (
                 "RFLD 1\n"
                 "1 1 9 4\n"
-                "0.29987874899691619\n"
-                "0.32735431697329848\n"
-                "0.33142661971912601\n"
-                "0.36841638321207321\n"
-                "0.37580568419646448\n"
-                "0.34198641902660393\n"
-                "0.32910447684632849\n"
-                "0.32150990009723351\n"
-                "0.29576114648079949\n"
+                "0.39566050103268147\n"
+                "0.39892436249100977\n"
+                "0.3559924745188337\n"
+                "0.34345344978375902\n"
+                "0.30334843148255375\n"
+                "0.30797770662319673\n"
+                "0.28837834569940679\n"
+                "0.29517569940196053\n"
+                "0.28715832637367256\n"
             ),
             "trace.csv": (
                 "step,E1,E2,E3,total,eta,accepted\n"
                 "0,0.038648362040848379,0,0,0.038648362040848379,0,1\n"
                 "1,0.014725719046309158,0,0,0.014725719046309158,1,1\n"
-                "2,0.026347472627907841,0,0,0.026347472627907841,0,1\n"
-                "3,0.0024846933474526748,0,0,0.0024846933474526748,2.1459345240921093,1\n"
-                "4,0.0036832736676550809,0,0,0.0036832736676550809,0,1\n"
+                "2,0.014725719046309158,0,0,0.014725719046309158,0,0\n"
+                "3,0.0023424264140141722,0,0,0.0023424264140141722,2.1459345240921093,1\n"
+                "4,0.0023424264140141722,0,0,0.0023424264140141722,0,0\n"
             ),
         }),
 }
@@ -577,7 +577,9 @@ def field_case(draw):
 
 def run_main_quietly(command, config_text, field_text=""):
     """Exit code and stderr of ``main`` in a fresh directory, where
-    ``@FIELD@`` in the config names the file holding ``field_text``."""
+    ``@FIELD@`` in the config names the file holding ``field_text``, and
+    the ``total`` column of the ``trace.csv`` a minimize run wrote (None
+    when it wrote none)."""
     with tempfile.TemporaryDirectory() as tmp:
         field_path = os.path.join(tmp, "in.rfld")
         with open(field_path, "w") as fh:
@@ -590,19 +592,29 @@ def run_main_quietly(command, config_text, field_text=""):
             warnings.simplefilter("ignore")
             code = main([command, "--config", cfg,
                          "--out", os.path.join(tmp, "out")])
-    return code, err.getvalue()
+        trace = os.path.join(tmp, "out", "trace.csv")
+        totals = None
+        if command == "minimize" and os.path.exists(trace):
+            with open(trace) as fh:
+                rows = [ln.split(",") for ln in fh if not ln.startswith("#")]
+            totals = [float(row[4]) for row in rows[1:]]
+    return code, err.getvalue(), totals
 
 
-def assert_exit_contract(code, err):
+def assert_exit_contract(code, err, totals):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert [ln.startswith("error:") for ln in err.splitlines()] == [True]
+    # a minimize run keeps a Schwarz candidate only when it is lower
+    if totals is not None:
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
 
 
 class TestFuzzMain:
     """``main`` on arbitrary configs and RFLD files keeps its exit-code
-    contract: 0, 1 or 2, no traceback, one ``error:`` line on exit 2."""
+    contract: 0, 1 or 2, no traceback, one ``error:`` line on exit 2; the
+    totals of a minimize trace never increase."""
 
     @given(st.sampled_from(COMMANDS), fuzz_config(), fuzz_field())
     @settings(max_examples=150, deadline=None)

@@ -25,7 +25,7 @@ J_DIRICHLET = IntegrandJ(j=lambda s, b: b**2,
 
 
 def e1_only_model(p=2.0):
-    return EnergyModel(p=p, p_star=2 * p, js=[J_DIRICHLET])
+    return EnergyModel(p=p, js=[J_DIRICHLET])
 
 
 class TestE1:
@@ -62,7 +62,7 @@ class TestE2:
         F = LocalTermF(f=lambda r, s: s[0] ** p,
                        df_ds=lambda r, s: [p * s[0] ** (p - 1)],
                        growth_K=1.0, exponents_l=(0.5,))
-        model = EnergyModel(p=p, p_star=4.0, js=[J_DIRICHLET], F=F)
+        model = EnergyModel(p=p, js=[J_DIRICHLET], F=F)
         assert eval_total(MultiField([u]), model).E2 == pytest.approx(
             -lp_norm(u, p) ** p, rel=1e-13)
 
@@ -72,7 +72,7 @@ class TestE2:
         F = LocalTermF(f=lambda r, s: np.exp(-r) * s[0],
                        df_ds=lambda r, s: [np.exp(-r)],
                        growth_K=1.0, exponents_l=(0.5,))
-        model = EnergyModel(p=2.0, p_star=4.0, js=[J_DIRICHLET], F=F)
+        model = EnergyModel(p=2.0, js=[J_DIRICHLET], F=F)
         expected = -sum(np.exp(-abs(x)) * v
                         for x, v in zip(spec.axis_coords, u.values))
         assert eval_total(MultiField([u]), model).E2 == pytest.approx(
@@ -82,7 +82,7 @@ class TestE2:
 class TestKernel:
     def test_constant_kernel(self):
         spec = make_grid(2, 5, 1.0)
-        V = KernelV(v=lambda r: np.ones_like(r), q=3.0,
+        V = KernelV(v=lambda r: np.ones_like(r),
                     origin_rule=("explicit", 1.0))
         k = sample_kernel(V, spec)
         assert k.spec.points_per_axis == 9
@@ -91,23 +91,23 @@ class TestKernel:
     def test_coulomb_origin_cell_average(self):
         for n, L in ((5, 2.0), (9, 2.0)):
             spec = make_grid(3, n, L)
-            V = KernelV(v=lambda r: 1.0 / r, q=3.0)
+            V = KernelV(v=lambda r: 1.0 / r)
             assert origin_value(V, spec) == pytest.approx(
                 COULOMB_CELL_CONSTANT / spec.h, rel=1e-12)
 
     def test_origin_rules(self):
         spec = make_grid(3, 5, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, q=3.0, origin_rule="zero")
+        V = KernelV(v=lambda r: 1.0 / r, origin_rule="zero")
         assert origin_value(V, spec) == 0.0
-        V = KernelV(v=lambda r: 1.0 / r, q=3.0, origin_rule=("explicit", 7.0))
+        V = KernelV(v=lambda r: 1.0 / r, origin_rule=("explicit", 7.0))
         assert origin_value(V, spec) == 7.0
-        V = KernelV(v=lambda r: 1.0 / r, q=3.0, origin_rule="median")
+        V = KernelV(v=lambda r: 1.0 / r, origin_rule="median")
         with pytest.raises(ValueError, match="unknown origin rule"):
             origin_value(V, spec)
 
     def test_sampled_coulomb_non_increasing_in_radius(self):
         spec = make_grid(3, 5, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, q=3.0)
+        V = KernelV(v=lambda r: 1.0 / r)
         k = sample_kernel(V, spec)
         r = k.spec.radii.ravel()
         v = k.values.ravel()
@@ -139,7 +139,7 @@ class TestNonlocalOperator:
     @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
     def test_matches_dense_sum(self, dim, n, rule):
         spec = make_grid(dim, n, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, q=3.0, origin_rule=rule)
+        V = KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
         g = np.random.default_rng(n).random(spec.shape)
         expected = dense_sum(g, V, spec)
         op = nonlocal_operator(V, spec)
@@ -164,7 +164,7 @@ class TestNonlocalOperator:
         def v(r):
             return 1.0 / r
 
-        ops = [nonlocal_operator(KernelV(v=v, q=3.0, origin_rule=rule), spec)
+        ops = [nonlocal_operator(KernelV(v=v, origin_rule=rule), spec)
                for rule in ORIGIN_RULES]
         assert len({id(op) for op in ops}) == len(ORIGIN_RULES)
         g = np.zeros(spec.shape)
@@ -260,7 +260,7 @@ class TestEvalTotal:
 
     def test_non_finite_integrand_reported(self):
         spec = make_grid(1, 5, 2.0)
-        bad = EnergyModel(p=2.0, p_star=4.0, js=[IntegrandJ(
+        bad = EnergyModel(p=2.0, js=[IntegrandJ(
             j=lambda s, b: np.log(s), dj_ds=None, dj_db=None)])
         U = MultiField([ScalarField(spec, np.zeros(5))])
         with pytest.raises(ValueError, match="non-finite"):
@@ -268,15 +268,11 @@ class TestEvalTotal:
 
 
 class TestModelValidation:
-    def test_p_star_must_exceed_p(self):
-        with pytest.raises(ValueError, match="p\\*"):
-            EnergyModel(p=2.0, p_star=2.0, js=[J_DIRICHLET])
-
     def test_g_and_v_must_pair(self):
         G = CouplingG(g=lambda s: s[0] ** 2, dg_ds=lambda s: [2 * s[0]],
                       growth_K=1.0, exponents_mu=(2.0,))
         with pytest.raises(ValueError, match="configured together"):
-            EnergyModel(p=2.0, p_star=4.0, js=[J_DIRICHLET], G=G)
+            EnergyModel(p=2.0, js=[J_DIRICHLET], G=G)
 
     def test_catalogue_lookup(self):
         assert models.by_name("plaplace", m=2).m == 2
@@ -354,7 +350,7 @@ class TestAssumptions:
         F = LocalTermF(f=lambda r, s: weight(r) * s[0]**2,
                        df_ds=lambda r, s: [2.0 * weight(r) * s[0]],
                        growth_K=1.0, exponents_l=(1.0,), f2_triple=f2_triple)
-        return EnergyModel(p=2.0, p_star=6.0, js=[J_DIRICHLET], F=F)
+        return EnergyModel(p=2.0, js=[J_DIRICHLET], F=F)
 
     def test_f2_sampled_from_triple(self):
         # e^-r s^2 <= eps s^2 for all r >= R0 exactly when e^-R0 <= eps

@@ -28,7 +28,7 @@ def confined_toy_model():
     F = LocalTermF(f=lambda r, s: np.exp(-r**2) * s[0] ** 2,
                    df_ds=lambda r, s: [2.0 * np.exp(-r**2) * s[0]],
                    growth_K=1.0, exponents_l=(1.0,))
-    return EnergyModel(p=2.0, p_star=4.0, js=[J_DIRICHLET], F=F)
+    return EnergyModel(p=2.0, js=[J_DIRICHLET], F=F)
 
 
 def random_multifield(spec, m, seed, low=0.1):
@@ -105,7 +105,7 @@ class TestDiscreteGradient:
             seen.append(b.copy())
             return 2.0 * b
 
-        model = EnergyModel(p=2.0, p_star=4.0, js=[IntegrandJ(
+        model = EnergyModel(p=2.0, js=[IntegrandJ(
             j=J_DIRICHLET.j, dj_ds=J_DIRICHLET.dj_ds, dj_db=dj_db)])
         spec = make_grid(dim, n, 4.0)
         rng = np.random.default_rng(n + dim)
@@ -124,7 +124,7 @@ class TestLagrangeResidual:
         j_val = IntegrandJ(j=lambda s, b: s**2, dj_ds=lambda s, b: 2.0 * s,
                            dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)),
                            depends_on_gradient=False)
-        model = EnergyModel(p=2.0, p_star=4.0, js=[j_val])
+        model = EnergyModel(p=2.0, js=[j_val])
         spec = make_grid(1, 9, 2.0)
         U = random_multifield(spec, 1, 12)
         lams, res = lagrange_residual(U, fresh_gradient(U, model), 2.0)
@@ -257,15 +257,7 @@ class TestDescentAndMinimize:
         assert all(np.isfinite(res.residuals + res.multipliers))
 
     def test_trace_residual_per_step(self):
-        spec = make_grid(1, 33, 4.0)
-        c = ConstraintVector((1.0,))
-        U0 = project_constraints(
-            MultiField([random_bump_field(spec, np.random.default_rng(3))]),
-            c, 2.0)
-        res = minimize(MinimizeConfig(model=confined_toy_model(),
-                                      constraints=c, spec=spec, initial=U0,
-                                      eta=0.1, max_steps=4000, grad_tol=1e-4,
-                                      k_pol=5))
+        res = minimize(confined_toy_config())
         assert res.status == "converged"
         descents = [t for t in res.trace if t.kind == "descent"]
         assert descents[-1].residual == max(res.residuals)
@@ -283,11 +275,39 @@ class TestDescentAndMinimize:
                            spec=spec, initial=U, eta=0.0)
 
 
+def confined_toy_config():
+    """The confined toy model in 1D from a seeded bump field, with a
+    Schwarz candidate every 5 steps."""
+    spec = make_grid(1, 33, 4.0)
+    c = ConstraintVector((1.0,))
+    U0 = project_constraints(
+        MultiField([random_bump_field(spec, np.random.default_rng(3))]),
+        c, 2.0)
+    return MinimizeConfig(model=confined_toy_model(), constraints=c,
+                          spec=spec, initial=U0, eta=0.1, max_steps=4000,
+                          grad_tol=1e-4, k_pol=5)
+
+
+def golden_config():
+    """The run of the minimize entry of the CLI golden files: plaplace on
+    1D n = 9 from the best of the seed-5 bump's dilations, 4 steps with a
+    Schwarz candidate every 2."""
+    spec = make_grid(1, 9, 4.0)
+    model, c = models.plaplace(m=1, dim=1), ConstraintVector((1.0,))
+    U0 = project_constraints(
+        MultiField([random_bump_field(spec, np.random.default_rng(5))]),
+        c, model.p)
+    scan = dilation_scan(U0, model, c, deltas=(1.0, 0.5, 0.25, 0.125))
+    return MinimizeConfig(model=model, constraints=c, spec=spec,
+                          initial=min(scan, key=lambda t: t[1])[2],
+                          eta=1.0, max_steps=4, grad_tol=1e-3, k_pol=2)
+
+
 def stalling_config():
-    """example_paper at 7^3 with a Schwarz step every 60 steps; with
+    """example_paper at 7^3 with a Schwarz candidate every 60 steps; with
     grad_tol 0 it runs until no halving of a descent step lowers the
-    energy in floating point, which happens at step 116, after the first
-    Schwarz step."""
+    energy in floating point, which happens at step 70, after the Schwarz
+    candidate of step 60 is rejected for raising the energy."""
     spec = make_grid(3, 7, 4.0)
     noise = np.random.default_rng(0).random(spec.shape)
     U0 = MultiField([ScalarField(
@@ -300,7 +320,8 @@ def stalling_config():
 
 def reference_minimize(cfg):
     """minimize re-written with every energy, gradient and direction
-    recomputed."""
+    recomputed; a Schwarz candidate is kept only when its energy is
+    lower."""
     model, c, p = cfg.model, cfg.constraints, cfg.model.p
     symbol = mn._sobolev_symbol(cfg.spec)
     U = project_constraints(cfg.initial, c, p)
@@ -309,9 +330,12 @@ def reference_minimize(cfg):
     eta = cfg.eta
     for step in range(1, cfg.max_steps + 1):
         if cfg.k_pol > 0 and step % cfg.k_pol == 0:
-            U = project_constraints(schwarz_multi(U), c, p)
+            sym = project_constraints(schwarz_multi(U), c, p)
+            accepted = eval_total(sym, model).total < eval_total(U, model).total
+            if accepted:
+                U = sym
             bk = eval_total(U, model)
-            rows.append((step, bk.E1, bk.E2, bk.E3, bk.total, 0.0, True,
+            rows.append((step, bk.E1, bk.E2, bk.E3, bk.total, 0.0, accepted,
                          "schwarz"))
             continue
         d, r = mn._tangent_direction(U, fresh_gradient(U, model), p, symbol)
@@ -382,6 +406,21 @@ class TestEvaluationReuse:
         schwarz_steps = sum(t.kind == "schwarz" for t in res.trace)
         assert counts["candidates"] >= len(res.trace) - 1 - schwarz_steps
         assert counts["conv"] <= counts["candidates"] + schwarz_steps + 2
+
+
+class TestTraceEndsAtLowestIterate:
+    @pytest.mark.parametrize("make_config", [golden_config,
+                                             confined_toy_config,
+                                             stalling_config])
+    def test_totals_never_increase_and_last_row_is_result(self, make_config):
+        cfg = make_config()
+        res = minimize(cfg)
+        assert any(t.kind == "schwarz" for t in res.trace)
+        totals = [t.total for t in res.trace]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        final, bk = res.trace[-1], eval_total(res.U, cfg.model)
+        assert (final.E1, final.E2, final.E3, final.total) == (
+            bk.E1, bk.E2, bk.E3, bk.total)
 
 
 def oracle_minimize(cfg):

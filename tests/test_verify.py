@@ -399,7 +399,6 @@ class TestPropertySuite:
 def test_grad_tol_scaling():
     assert grad_tol(0.25, 0.0) == pytest.approx(0.5)
     assert grad_tol(0.25, 3.0) == pytest.approx(2.0)
-    assert grad_tol(0.25, 3.0, c_tol=0.5) == pytest.approx(1.0)
 
 
 def test_random_bump_fields_positive_and_reproducible():
