@@ -68,7 +68,8 @@ class KernelV:
 
     origin_rule is one of "cell_average", "zero", or ("explicit", value)
     and fixes the kernel value at zero offset.  The weak-L^q membership of
-    V is a hypothesis of the model, not a parameter: nothing reads it.
+    V that the model assumes is not stored: no finite check certifies it
+    (see check_assumptions).
     """
 
     v: callable

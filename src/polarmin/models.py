@@ -4,8 +4,8 @@ Positive models: ``example_paper`` (dampened Dirichlet integrand with a
 Coulomb-coupled quadratic nonlocal term), ``plaplace`` (pure gradient term
 b^p), ``choquard`` (b^2 with G = s^2 and V = 1/r).  Negative controls
 ``nonmonotone_g`` and ``nonsupermodular_f`` intentionally violate the
-structural assumptions and exist for the assumption sampler.  Every
-builder takes ``m`` and ``dim`` so that ``by_name`` calls them alike; no
+structural assumptions and exist for the assumption sampler.
+``by_name`` passes ``m`` and ``dim`` to every catalogue entry alike; no
 built-in model depends on ``dim``.
 """
 

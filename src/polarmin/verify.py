@@ -19,6 +19,7 @@ from .models import plaplace
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
                         polarize_multi, schwarz)
 
+
 @dataclasses.dataclass
 class InequalityReport:
     name: str
