@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,33 +97,58 @@ def reflect(spec: GridSpec, H: HalfSpace, index: tuple) -> tuple:
     return tuple(int(v) for v in r)
 
 
-def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
-    """Two-point rearrangement u^H.
+class _Block(NamedTuple):
+    """Where the reflection pairs of a half-space sit in a field.
 
-    For each reflection pair {x, x_H} with x in H, the larger value goes to
-    x and the smaller to x_H.  Points on dH, and points of H whose image
-    leaves the box, keep their value; since 0 is in H, every point outside
-    H has its image in the box.  With axes flipped so the normal reads +e_k
-    or +e_a - e_b, the pairs fill a block on which the reflection is a view:
-    the first n - j planes along k reversed, or [0, n-j) x [j, n) on (a, b)
-    transposed.
+    Indexing a field with ``flip``, transposing it by ``perm`` and taking
+    ``window`` gives the block of pairs: m planes along the normal, which
+    the reflection reverses, or an m x m square on the two normal axes,
+    which it transposes.  ``flip`` and ``window`` are basic slices and
+    ``perm`` an axis order, so the block is a view of the field and a
+    half-space costs only this tuple, with no index array.
     """
-    if np.any(field.values < 0):
-        raise ValueError("polarization requires non-negative fields")
-    n = field.spec.points_per_axis
-    j = _mirror_steps(field.spec, H)
+
+    m: int
+    flip: tuple
+    perm: tuple
+    window: tuple
+
+
+def _block(spec: GridSpec, H: HalfSpace) -> _Block:
+    """The block of H: with axes flipped so the normal reads +e_k or
+    +e_a - e_b, the pairs fill the first n - j planes along k, or
+    [0, n-j) x [j, n) on (a, b), with j from ``_mirror_steps``."""
+    n = spec.points_per_axis
+    j = _mirror_steps(spec, H)
     m = max(n - j, 0)
     axes = [k for k, v in enumerate(H.normal) if v != 0]
-    flips = [k for k, s in zip(axes, (1, -1)) if H.normal[k] != s]
+    flipped = {k for k, s in zip(axes, (1, -1)) if H.normal[k] != s}
+    flip = tuple(slice(None, None, -1) if k in flipped else slice(None)
+                 for k in range(spec.dim))
+    perm = tuple(axes) + tuple(k for k in range(spec.dim) if k not in axes)
     window = (slice(0, m), slice(j, n))[:len(axes)]
+    return _Block(m, flip, perm, window)
 
-    def block(values):
-        return np.moveaxis(np.flip(values, flips), axes,
-                           range(len(axes)))[window]
 
-    out = field.values.copy()
-    u, dst = block(field.values), block(out)
-    if len(axes) == 1:
+@lru_cache(maxsize=None)
+def _strict_upper(m: int, ndim: int) -> np.ndarray:
+    """The strict upper triangle of an m x m block, padded to ndim axes.
+    It depends only on m, so diagonal half-spaces with one block size
+    share it: at most n + 1 masks per grid."""
+    q = np.arange(m)
+    mask = (q[:, None] < q[None, :]).reshape((m, m) + (1,) * (ndim - 2))
+    mask.flags.writeable = False
+    return mask
+
+
+def _polarize_into(src: np.ndarray, out: np.ndarray, block: _Block) -> None:
+    """Write the polarization of src by the half-space of ``block`` into
+    out, an array of src's shape that does not overlap it."""
+    np.copyto(out, src)
+    m = block.m
+    u = src[block.flip].transpose(block.perm)[block.window]
+    dst = out[block.flip].transpose(block.perm)[block.window]
+    if len(block.window) == 1:
         # the first m // 2 planes lie outside H, the last m // 2 inside
         half = m // 2
         mirror = u[::-1]
@@ -131,11 +157,25 @@ def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
     else:
         # the strict upper triangle on (a, b) lies outside H
         mirror = u.swapaxes(0, 1)
-        q = np.arange(m)
-        outside = q[:, None] < q[None, :]
         np.maximum(u, mirror, out=dst)
-        np.copyto(dst, np.minimum(u, mirror),
-                  where=outside.reshape(outside.shape + (1,) * (u.ndim - 2)))
+        np.copyto(dst, np.minimum(u, mirror), where=_strict_upper(m, u.ndim))
+
+
+def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
+    """Two-point rearrangement u^H.
+
+    For each reflection pair {x, x_H} with x in H, the larger value goes to
+    x and the smaller to x_H.  Points on dH, and points of H whose image
+    leaves the box, keep their value; since 0 is in H, every point outside
+    H has its image in the box.  The exchange runs through the block views
+    of ``_block`` in ``_polarize_into``, the one implementation that
+    ``iterate_polarizations`` also scores its candidates with; ``reflect``
+    is its pointwise oracle.
+    """
+    if np.any(field.values < 0):
+        raise ValueError("polarization requires non-negative fields")
+    out = np.empty(field.spec.shape)
+    _polarize_into(field.values, out, _block(field.spec, H))
     return ScalarField(field.spec, out)
 
 
@@ -200,8 +240,8 @@ class TraceRow:
 class ConvergenceTrace:
     """Trace rows, final status, and two deterministic work counters:
     ``candidates``, the half-spaces picked over all iterations, and
-    ``polarizations``, the ``polarize_multi`` calls made.  The CLI's
-    ``trace.csv`` holds the rows only."""
+    ``polarizations``, the polarizations of U made: candidates scored plus
+    candidates accepted.  The CLI's ``trace.csv`` holds the rows only."""
 
     rows: list
     status: str  # converged | max_iter_reached
@@ -248,6 +288,28 @@ def _objective(U: MultiField, targets, p: float,
         for c, t in zip(U.components, targets))
 
 
+def _polarized_objective(values, targets, p: float, scale: float | None,
+                         block: _Block, buf: np.ndarray) -> float:
+    """``_objective`` of the component arrays ``values`` polarized by the
+    half-space of ``block``, against the target arrays, worked out in buf.
+
+    Same bits as ``_objective(polarize_multi(U, H), targets, p, scale)``:
+    the same elementwise formula over the whole contiguous array and the
+    same ``np.sum``, with every step written into buf and no field built.
+    values must be non-negative and finite.
+    """
+    total = 0
+    for u, t in zip(values, targets):
+        _polarize_into(u, buf, block)
+        np.subtract(buf, t, out=buf)
+        np.abs(buf, out=buf)
+        if scale is not None:
+            np.divide(buf, scale, out=buf)
+        buf **= p
+        total += float(np.sum(buf))
+    return total
+
+
 def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """Iterated polarizations driving U toward its Schwarz rearrangement.
 
@@ -275,12 +337,22 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     more for the accepted one.  Only the objective values are kept, at most
     one float per half-space of the family.  Iterations at a fixed point
     still run and are traced, but cost only the random draws and lookups.
+
+    The block geometry of every half-space (``_block``, a few basic indices)
+    is built once per run, and non-negativity is checked once, by
+    ``schwarz`` on the targets.  Each candidate is then scored by
+    ``_polarized_objective`` in one field-sized buffer allocated per run,
+    through the same ``_polarize_into`` kernel as ``polarize`` and with the
+    bits of ``_objective``; no field is built per candidate.  The accepted
+    candidate is applied with ``polarize_multi``.
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
     rng = np.random.default_rng(schedule.seed)
     p = schedule.p
 
+    # schwarz rejects negative fields, and polarization only exchanges
+    # values, so every iterate is non-negative and finite from here on
     targets = [schwarz(c) for c in U0.components]
     target_norms = [lp_norm(t, p) for t in targets]
 
@@ -293,6 +365,9 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
 
     scale = _objective_scale(targets, p)
     obj = _objective(U, targets, p, scale)
+    blocks = [_block(spec, H) for H in family]
+    target_values = [t.values for t in targets]
+    buf = np.empty(spec.shape)
     scores = {}  # family index -> objective of U polarized by that half-space
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
@@ -307,8 +382,9 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
         H, best = None, np.inf
         for k in picks:
             if k not in scores:
-                scores[k] = _objective(polarize_multi(U, family[k]),
-                                       targets, p, scale)
+                scores[k] = _polarized_objective(
+                    [c.values for c in U.components], target_values, p,
+                    scale, blocks[k], buf)
                 trace.polarizations += 1
             if scores[k] < best:
                 H, best = family[k], scores[k]

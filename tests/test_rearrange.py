@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polarmin import rearrange
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
-                                PolarizationSchedule, TraceRow, _objective,
-                                _rel_dists, admissible_half_spaces,
+                                PolarizationSchedule, TraceRow, _block,
+                                _objective, _objective_scale,
+                                _polarized_objective, _rel_dists,
+                                admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
                                 polarize, polarize_multi, reflect, schwarz, schwarz_multi,
                                 symmetry_deficit)
@@ -393,6 +396,74 @@ class TestIterateOracle:
         assert trace.polarizations <= bound
         # scoring every pick on every iteration would break the bound
         assert picks * schedule.max_iter > bound
+
+
+class TestScoring:
+    @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
+                                      make_grid(2, 17, 2.0), SPEC_3D],
+                             ids=["1d-n9", "2d-n17", "3d-n7"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e160])
+    def test_score_bit_identical_to_objective(self, spec, m, magnitude):
+        # near 1e160 the p > 1 objectives overflow and take the scaled branch
+        rng = np.random.default_rng(m)
+        U = MultiField([ScalarField(spec, magnitude * rng.random(spec.shape))
+                        for _ in range(m)])
+        before = [c.values.copy() for c in U.components]
+        buf = np.empty(spec.shape)
+        for p in (1.0, 2.0, 3.5):
+            targets = [schwarz(c) for c in U.components]
+            scale = _objective_scale(targets, p)
+            assert (scale is not None) == (magnitude > 1.0 and p > 1.0)
+            for H in admissible_half_spaces(spec):
+                score = _polarized_objective(
+                    [c.values for c in U.components],
+                    [t.values for t in targets], p, scale, _block(spec, H),
+                    buf)
+                assert score == _objective(polarize_multi(U, H), targets, p,
+                                           scale), (p, H)
+        for c, vals in zip(U.components, before):
+            assert np.array_equal(c.values, vals)
+
+    def test_negative_value_rejected_before_any_scoring(self, monkeypatch):
+        calls = []
+
+        def record(name):
+            def stub(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+            return stub
+
+        monkeypatch.setattr(rearrange, "_polarized_objective",
+                            record("_polarized_objective"))
+        monkeypatch.setattr(rearrange, "_polarize_into",
+                            record("_polarize_into"))
+        vals = np.random.default_rng(8).random(SPEC_2D.shape)
+        vals[3, 5] = -1e-3
+        with pytest.raises(ValueError, match="non-negative"):
+            iterate_polarizations(MultiField([ScalarField(SPEC_2D, vals)]),
+                                  PolarizationSchedule(mode="greedy"))
+        assert calls == []
+
+    def test_greedy_run_memory_is_a_few_fields(self):
+        # a greedy run keeps the family, one block geometry and at most one
+        # score per half-space, and works in a handful of field-sized
+        # arrays (its peak is about 14 fields here); an index array per
+        # half-space, 306 of them, would hold over a hundred fields
+        spec = make_grid(3, 17, 2.0)
+        field_bytes = spec.num_points * 8
+        U0 = MultiField([random_bump_field(spec, np.random.default_rng(0))])
+        schwarz(U0.components[0])  # canonical_order is cached for the spec
+        schedule = PolarizationSchedule(mode="greedy", seed=0, max_iter=200,
+                                        tol=1e-12)
+        tracemalloc.start()
+        try:
+            _, trace = iterate_polarizations(U0, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.polarizations > len(admissible_half_spaces(spec))
+        assert peak < 20 * field_bytes
 
 
 class TestSymmetryDeficit:
