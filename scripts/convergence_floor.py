@@ -10,14 +10,9 @@ import argparse
 
 import numpy as np
 
-from polarmin.grid import MultiField, ScalarField, make_grid
+from polarmin.grid import MultiField, make_grid
 from polarmin.rearrange import PolarizationSchedule, iterate_polarizations
-from polarmin.verify import random_bump_field
-
-
-def gaussian(spec, center, width=0.7):
-    d2 = np.sum((spec.coords - np.asarray(center)) ** 2, axis=-1)
-    return ScalarField(spec, np.exp(-d2 / (2.0 * width**2)))
+from polarmin.verify import eval_bumps, random_bump_field
 
 
 def run(name, field, schedule):
@@ -39,9 +34,9 @@ def main():
     schedule = PolarizationSchedule(mode="greedy", seed=args.seed,
                                     max_iter=args.max_iter, tol=1e-3)
     h = spec.h
-    run("on-lattice gaussian", gaussian(spec, (5 * h, -3 * h)), schedule)
-    run("off-lattice gaussian", gaussian(spec, (5.37 * h, -3.41 * h)),
-        schedule)
+    for name, center in (("on-lattice gaussian", (5 * h, -3 * h)),
+                         ("off-lattice gaussian", (5.37 * h, -3.41 * h))):
+        run(name, eval_bumps(spec, [(center, 0.7, 1.0)]), schedule)
     rng = np.random.default_rng(args.seed)
     run("random multi-bump", random_bump_field(spec, rng), schedule)
 

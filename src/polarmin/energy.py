@@ -8,15 +8,16 @@ numpy arrays (broadcasting) and be pure.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import functools
+from numbers import Real
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .grid import (GridSpec, MultiField, ScalarField, _magnitude,
+from .grid import (GridSpec, MultiField, ScalarField, _magnitude, axis_sum,
                    axis_derivative_adjoint, gradient_components,
-                   gradient_magnitude, make_grid)
+                   gradient_magnitude)
 
 
 @dataclasses.dataclass
@@ -66,14 +67,21 @@ class CouplingG:
 class KernelV:
     """Radial non-increasing interaction kernel V(r), r > 0.
 
-    origin_rule is one of "cell_average", "zero", or ("explicit", value)
-    and fixes the kernel value at zero offset.  The weak-L^q membership of
-    V that the model assumes is not stored: no finite check certifies it
+    origin_rule is "cell_average", "zero", or ("explicit", real value) and
+    fixes the kernel value at zero offset.  The weak-L^q membership of V
+    that the model assumes is not stored: no finite check certifies it
     (see check_assumptions).
     """
 
     v: callable
     origin_rule: object = "cell_average"
+
+    def __post_init__(self):
+        rule = self.origin_rule
+        explicit = (type(rule) is tuple and len(rule) == 2
+                    and rule[0] == "explicit" and isinstance(rule[1], Real))
+        if not (explicit or rule in ("cell_average", "zero")):
+            raise ValueError(f"unknown origin rule {rule!r}")
 
 
 @dataclasses.dataclass
@@ -86,7 +94,6 @@ class EnergyModel:
     F: LocalTermF | None = None
     G: CouplingG | None = None
     V: KernelV | None = None
-    name: str = "custom"
 
     def __post_init__(self):
         if (self.G is None) != (self.V is None):
@@ -131,35 +138,39 @@ def origin_value(V: KernelV, spec: GridSpec) -> float:
     rule = V.origin_rule
     if rule == "zero":
         return 0.0
-    if isinstance(rule, tuple) and rule[0] == "explicit":
-        return float(rule[1])
     if rule != "cell_average":
-        raise ValueError(f"unknown origin rule {rule!r}")
+        return float(rule[1])
     h = spec.h
     q = 16
     pts = (np.arange(q) + 0.5) / q * h - h / 2.0
-    mesh = np.meshgrid(*([pts] * spec.dim), indexing="ij")
-    r = np.sqrt(np.sum([m**2 for m in mesh], axis=0))
+    r = np.sqrt(axis_sum([pts**2] * spec.dim))
     vals = V.v(r)
     _require_finite(np.asarray(vals), "kernel")
     return float(np.mean(vals))
 
 
-def sample_kernel(V: KernelV, spec: GridSpec) -> ScalarField:
-    """Kernel values at all pairwise-offset lattice vectors.
+def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
+    """V at every pairwise lattice offset, in the circulant layout of rfftn.
 
-    The result lives on the padded grid with 2n-1 points per axis and
-    half-width 2L; the entry at zero offset follows the origin rule.
+    Along each axis of length M = next_fast_len(2n - 1), index q holds
+    offset d = q for q < n and d = q - M for q > M - n, and 0 in between.
+    Index (0, ..., 0), the zero offset, holds origin_value.
     """
-    padded = make_grid(spec.dim, 2 * spec.points_per_axis - 1,
-                       2.0 * spec.half_width)
-    r = padded.radii
+    n, dim = spec.points_per_axis, spec.dim
+    size = next_fast_len(2 * n - 1, real=True)
+    offsets = np.r_[0:n, 1 - n:0]
+    # -2L + h(d + n - 1) are the coordinates of the grid with 2n - 1 points
+    # and half-width 2L, whose step 4L/(2n - 2) equals spec.h exactly; the
+    # exactly symmetric h*d rounds differently where h is not a power of 2.
+    x = -2.0 * spec.half_width + spec.h * (offsets + n - 1)
+    r = np.sqrt(axis_sum([x**2] * dim)).ravel()
     vals = np.empty_like(r)
-    nz = r > 0
-    vals[nz] = V.v(r[nz])
-    _require_finite(vals[nz], "kernel")
-    vals[~nz] = origin_value(V, spec)
-    return ScalarField(padded, vals)
+    vals[0] = origin_value(V, spec)  # offset (0, ..., 0) comes first
+    vals[1:] = V.v(r[1:])
+    _require_finite(vals[1:], "kernel")
+    kernel = np.zeros((size,) * dim)
+    kernel[np.ix_(*[offsets % size] * dim)] = vals.reshape((2 * n - 1,) * dim)
+    return kernel
 
 
 # Largest dense kernel matrix method="direct" builds (P^2 float64 entries).
@@ -169,8 +180,8 @@ DENSE_MATRIX_LIMIT_BYTES = 2**30
 class NonlocalOperator:
     """The map g -> sum_y V(|x - y|) g(y) on one grid (no volume factor).
 
-    The sampled kernel is stored as the rFFT of its circulant embedding:
-    offset d along an axis sits at index d mod M, with
+    The sampled kernel is stored as the rFFT of its circulant embedding
+    (sample_kernel): offset d along an axis sits at index d mod M, with
     M = next_fast_len(2n - 1) >= 2n - 1, so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
     (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
@@ -179,16 +190,9 @@ class NonlocalOperator:
 
     def __init__(self, V: KernelV, spec: GridSpec):
         self.V, self.spec = V, spec
-        n = spec.points_per_axis
-        size = next_fast_len(2 * n - 1, real=True)
-        self.fft_shape = (size,) * spec.dim
-        # padded index n-1+d holds offset d; place it at d mod size
-        src = np.r_[n - 1:2 * n - 1, 0:n - 1]
-        dst = np.r_[0:n, size - n + 1:size]
-        embedded = np.zeros(self.fft_shape)
-        embedded[np.ix_(*[dst] * spec.dim)] = \
-            sample_kernel(V, spec).values[np.ix_(*[src] * spec.dim)]
-        self.kernel_hat = rfftn(embedded)
+        kernel = sample_kernel(V, spec)
+        self.fft_shape = kernel.shape
+        self.kernel_hat = rfftn(kernel)
         self._dense = None
 
     def dense_matrix(self) -> np.ndarray:
@@ -226,22 +230,14 @@ class NonlocalOperator:
         return mat
 
 
-_OPERATOR_CACHE_SIZE = 4
-_OPERATORS = collections.OrderedDict()
+@functools.lru_cache(maxsize=4)
+def _operator(spec: GridSpec, v, origin_rule) -> NonlocalOperator:
+    return NonlocalOperator(KernelV(v, origin_rule), spec)
 
 
 def nonlocal_operator(V: KernelV, spec: GridSpec) -> NonlocalOperator:
     """The operator of V on spec, from a small least-recently-used cache."""
-    key = (spec, V.v, repr(V.origin_rule))
-    op = _OPERATORS.get(key)
-    if op is None:
-        op = NonlocalOperator(V, spec)
-        _OPERATORS[key] = op
-        if len(_OPERATORS) > _OPERATOR_CACHE_SIZE:
-            _OPERATORS.popitem(last=False)
-    else:
-        _OPERATORS.move_to_end(key)
-    return op
+    return _operator(spec, V.v, V.origin_rule)
 
 
 def kernel_convolve(g: np.ndarray, op: NonlocalOperator,

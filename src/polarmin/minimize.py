@@ -21,7 +21,8 @@ from scipy.ndimage import map_coordinates
 
 from .energy import (EnergyBreakdown, EnergyModel, discrete_gradient,
                      eval_total)
-from .grid import GridSpec, MultiField, ScalarField, gradient_magnitude, lp_norm
+from .grid import (GridSpec, MultiField, ScalarField, axis_sum,
+                   gradient_magnitude, lp_norm)
 from .rearrange import schwarz, schwarz_multi, symmetry_deficit
 
 
@@ -203,10 +204,7 @@ def _sobolev_symbol(spec: GridSpec) -> np.ndarray:
     """
     n, h = spec.points_per_axis, spec.h
     axis = (2.0 / h**2) * (1.0 - np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
-    lap = np.zeros(spec.shape)
-    for k in range(spec.dim):
-        lap = lap + axis.reshape((n,) + (1,) * (spec.dim - 1 - k))
-    return 1.0 + SOBOLEV_ALPHA * lap
+    return 1.0 + SOBOLEV_ALPHA * axis_sum([axis] * spec.dim)
 
 
 def _dst(values: np.ndarray) -> np.ndarray:

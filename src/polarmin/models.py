@@ -57,7 +57,6 @@ def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:
         js=[_dampened_dirichlet() for _ in range(m)],
         G=_sum_of_squares(m),
         V=_coulomb(),
-        name="example_paper",
     )
 
 
@@ -65,7 +64,6 @@ def plaplace(m: int = 1, dim: int = 3, p: float = 2.0) -> EnergyModel:
     return EnergyModel(
         p=p,
         js=[_power_integrand(p) for _ in range(m)],
-        name="plaplace",
     )
 
 
@@ -75,7 +73,6 @@ def choquard(m: int = 1, dim: int = 3) -> EnergyModel:
         js=[_power_integrand(2.0) for _ in range(m)],
         G=_sum_of_squares(m),
         V=_coulomb(),
-        name="choquard",
     )
 
 
@@ -88,7 +85,7 @@ def nonmonotone_g(dim: int = 3) -> EnergyModel:
         exponents_mu=(2.0, 2.0),
     )
     return EnergyModel(p=2.0, js=[_power_integrand(2.0) for _ in range(2)],
-                       G=g, V=_coulomb(), name="nonmonotone_g")
+                       G=g, V=_coulomb())
 
 
 def nonsupermodular_f(dim: int = 3) -> EnergyModel:
@@ -100,7 +97,7 @@ def nonsupermodular_f(dim: int = 3) -> EnergyModel:
         exponents_l=(1.0, 1.0),
     )
     return EnergyModel(p=2.0, js=[_power_integrand(2.0) for _ in range(2)],
-                       F=f, name="nonsupermodular_f")
+                       F=f)
 
 
 CATALOGUE = {

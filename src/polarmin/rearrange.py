@@ -388,8 +388,6 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
                 trace.polarizations += 1
             if scores[k] < best:
                 H, best = family[k], scores[k]
-        if schedule.mode != "greedy":
-            H = family[picks[0]]  # recorded even if its objective is not finite
         if best < obj:
             U, obj = polarize_multi(U, H), best
             trace.polarizations += 1

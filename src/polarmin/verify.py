@@ -14,7 +14,7 @@ import numpy as np
 
 from .energy import EnergyModel, IntegrandJ, _require_finite, eval_total
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
-                   gradient_magnitude)
+                   axis_sum, gradient_magnitude)
 from .models import plaplace
 from .rearrange import (HalfSpace, admissible_half_spaces, polarize,
                         polarize_multi, schwarz)
@@ -218,13 +218,7 @@ def eval_bumps(spec: GridSpec, params) -> ScalarField:
     """Sample a sum of Gaussian bumps from ``bump_params`` on a grid."""
     vals = np.zeros(spec.shape)
     for center, width, amp in params:
-        # squared offsets per axis, broadcast and added in axis order: the
-        # bits of summing (coords - center)**2 over its last axis
-        d2 = 0.0
-        for k, c in enumerate(center):
-            shape = [1] * spec.dim
-            shape[k] = -1
-            d2 = d2 + ((spec.axis_coords - c) ** 2).reshape(shape)
+        d2 = axis_sum([(spec.axis_coords - c) ** 2 for c in center])
         vals += amp * np.exp(-d2 / (2.0 * width**2))
     return ScalarField(spec, vals)
 

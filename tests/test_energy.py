@@ -79,14 +79,24 @@ class TestE2:
             expected, rel=1e-14)
 
 
+ORIGIN_RULES = ("cell_average", "zero", ("explicit", 3.5))
+
+
 class TestKernel:
+    # circulant layout along an axis of length M: index q holds offset q for
+    # q < n and q - M for q > M - n; n = 17 gives M = 36, so indices 17..19
+    # form the unused band
     def test_constant_kernel(self):
-        spec = make_grid(2, 5, 1.0)
+        spec = make_grid(2, 17, 1.0)
         V = KernelV(v=lambda r: np.ones_like(r),
                     origin_rule=("explicit", 1.0))
         k = sample_kernel(V, spec)
-        assert k.spec.points_per_axis == 9
-        assert np.all(k.values == 1.0)
+        assert k.shape == (36, 36)
+        used = np.r_[0:17, 20:36]
+        mask = np.zeros(k.shape, dtype=bool)
+        mask[np.ix_(used, used)] = True
+        assert np.all(k[mask] == 1.0)
+        assert np.all(k[~mask] == 0.0)
 
     def test_coulomb_origin_cell_average(self):
         for n, L in ((5, 2.0), (9, 2.0)):
@@ -101,21 +111,49 @@ class TestKernel:
         assert origin_value(V, spec) == 0.0
         V = KernelV(v=lambda r: 1.0 / r, origin_rule=("explicit", 7.0))
         assert origin_value(V, spec) == 7.0
-        V = KernelV(v=lambda r: 1.0 / r, origin_rule="median")
+
+    @pytest.mark.parametrize("rule", ["median", ("explicit", "7"),
+                                      ["explicit", 7.0], ("explicit",),
+                                      ("mean", 7.0)], ids=str)
+    def test_unknown_origin_rule_rejected(self, rule):
         with pytest.raises(ValueError, match="unknown origin rule"):
-            origin_value(V, spec)
+            KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
 
     def test_sampled_coulomb_non_increasing_in_radius(self):
         spec = make_grid(3, 5, 2.0)
         V = KernelV(v=lambda r: 1.0 / r)
         k = sample_kernel(V, spec)
-        r = k.spec.radii.ravel()
-        v = k.values.ravel()
-        order = np.argsort(r)
+        size = k.shape[0]
+        d = np.r_[0:5, -4:0]
+        r2 = (d[:, None, None] ** 2 + d[None, :, None] ** 2
+              + d[None, None, :] ** 2).ravel()
+        v = k[np.ix_(*[d % size] * 3)].ravel()
+        order = np.argsort(r2, kind="stable")
         assert np.all(np.diff(v[order]) <= 1e-12)
 
+    # h = 3.7/49, 3.7/6 and 3.7/4 are not powers of 2, so offsets h*d would
+    # round differently from the padded grid's coordinates
+    @pytest.mark.parametrize("dim,n", [(1, 99), (2, 13), (3, 9)])
+    def test_bits_of_padded_grid_radii(self, dim, n):
+        spec = make_grid(dim, n, 3.7)
+        padded = make_grid(dim, 2 * n - 1, 7.4)
+        V = KernelV(v=lambda r: 1.0 / r)
+        k = sample_kernel(V, spec)
+        # padded index n - 1 + d holds offset d, which k holds at d mod M
+        src = np.r_[n - 1:2 * n - 1, 0:n - 1]
+        dst = np.r_[0:n, 1 - n:0] % k.shape[0]
+        with np.errstate(divide="ignore"):  # the padded centre may be 0
+            expected = V.v(padded.radii[np.ix_(*[src] * dim)])
+        expected[(0,) * dim] = origin_value(V, spec)
+        assert np.array_equal(k[np.ix_(*[dst] * dim)], expected)
 
-ORIGIN_RULES = ("cell_average", "zero", ("explicit", 3.5))
+    # n = 99 at L = 2: the centre coordinate is -2.2e-16, not 0
+    @pytest.mark.parametrize("dim,n", [(1, 99), (2, 9), (3, 5)])
+    @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
+    def test_origin_entry_is_origin_value(self, dim, n, rule):
+        spec = make_grid(dim, n, 2.0)
+        V = KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
+        assert sample_kernel(V, spec)[(0,) * dim] == origin_value(V, spec)
 
 
 def dense_sum(g, V, spec):
@@ -133,9 +171,12 @@ class TestNonlocalOperator:
     # n = 3, 13: next_fast_len(2n - 1) == 2n - 1; n = 9, 17: it is larger,
     # so a wrong embedding would wrap around.  The 17^3 pairwise sum needs
     # a 190 MB matrix and is left out.
+    # 1D n = 99 and 197 at L = 2: the centre coordinate is within an ulp of
+    # 0, not 0, so the zero offset must be found by index.
     @pytest.mark.parametrize("dim,n", [(d, n) for d in (1, 2, 3)
                                        for n in (3, 9, 13, 17)
-                                       if (d, n) != (3, 17)])
+                                       if (d, n) != (3, 17)]
+                             + [(1, 99), (1, 197)])
     @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
     def test_matches_dense_sum(self, dim, n, rule):
         spec = make_grid(dim, n, 2.0)
@@ -156,7 +197,8 @@ class TestNonlocalOperator:
         assert nonlocal_operator(V, spec) is nonlocal_operator(V, spec)
         for n in (3, 5, 7, 9, 11, 13, 15):
             nonlocal_operator(V, make_grid(2, n, 2.0))
-            assert len(energy._OPERATORS) <= energy._OPERATOR_CACHE_SIZE
+            info = energy._operator.cache_info()
+            assert info.maxsize == 4 and info.currsize <= 4
 
     def test_origin_rule_is_part_of_the_key(self):
         spec = make_grid(3, 5, 2.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarmin.grid import (FieldFormatError, MultiField, ScalarField,
-                           axis_derivative, axis_derivative_adjoint,
+                           axis_derivative, axis_derivative_adjoint, axis_sum,
                            distribution_function, gradient_components,
                            gradient_magnitude, lp_norm, make_grid, read_field,
                            write_field)
@@ -49,6 +49,21 @@ class TestMakeGrid:
         assert 0.0 in spec.axis_coords
         center = (spec.points_per_axis - 1) // 2
         assert spec.axis_coords[center] == 0.0
+
+    def test_axis_sum_bits_of_stacked_sum(self):
+        rng = np.random.default_rng(0)
+        for dim in (1, 2, 3):
+            terms = [rng.standard_normal(k) for k in (4, 5, 6)[:dim]]
+            stacked = np.stack(np.meshgrid(*terms, indexing="ij"), axis=-1)
+            assert np.array_equal(axis_sum(terms), np.sum(stacked, axis=-1))
+
+    # n = 99 at L = 2: the centre coordinate is -2.2e-16, not 0
+    @pytest.mark.parametrize("dim,n,L", [(1, 99, 2.0), (2, 17, 3.7),
+                                         (3, 9, 1.0)])
+    def test_radii_bits_of_stacked_sum(self, dim, n, L):
+        spec = make_grid(dim, n, L)
+        assert np.array_equal(spec.radii,
+                              np.sqrt(np.sum(spec.coords**2, axis=-1)))
 
 
 class TestLpNorm:
