@@ -4,6 +4,12 @@ E1 sums j_i(u_i, |Du_i|) over components, E2 is minus a local integral
 -int F(|x|, U), and E3 is minus the nonlocal quadratic form
 -int int G(U(x)) V(|x-y|) G(U(y)).  All integrand evaluators must accept
 numpy arrays (broadcasting) and be pure.
+
+The nonlocal term is an FFT convolution built from numpy's one-dimensional
+transforms.  They run in the axis order of scipy.fft.rfftn and irfftn, which
+wrap the same pocketfft library, so the results carry the same bits as
+those calls; numpy.fft.rfftn runs its axes in the opposite order and
+differs in the last bits.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import functools
 from numbers import Real
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .grid import (GridSpec, MultiField, ScalarField, _magnitude, axis_sum,
                    axis_derivative_adjoint, gradient_components,
@@ -152,12 +157,12 @@ def origin_value(V: KernelV, spec: GridSpec) -> float:
 def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
     """V at every pairwise lattice offset, in the circulant layout of rfftn.
 
-    Along each axis of length M = next_fast_len(2n - 1), index q holds
+    Along each axis of length M = _fast_len(2n - 1), index q holds
     offset d = q for q < n and d = q - M for q > M - n, and 0 in between.
     Index (0, ..., 0), the zero offset, holds origin_value.
     """
     n, dim = spec.points_per_axis, spec.dim
-    size = next_fast_len(2 * n - 1, real=True)
+    size = _fast_len(2 * n - 1)
     offsets = np.r_[0:n, 1 - n:0]
     # -2L + h(d + n - 1) are the coordinates of the grid with 2n - 1 points
     # and half-width 2L, whose step 4L/(2n - 2) equals spec.h exactly; the
@@ -173,6 +178,35 @@ def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
     return kernel
 
 
+def _fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target (scipy's next_fast_len for real
+    input)."""
+    size = target
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
+
+
+def _rfft_padded(a: np.ndarray, size: int) -> np.ndarray:
+    """rfftn of a zero-padded to size along every axis.
+
+    The axes run as in scipy.fft.rfftn: the real transform along the last
+    axis, then the complex one along axes 0, 1, ....  Each pass pads only
+    its own axis, so lines that are all padding are never transformed
+    (FFT pruning, Markel, IEEE Trans. Audio Electroacoust. 19, 1971); they
+    would transform to zeros.
+    """
+    out = np.fft.rfft(a, size, axis=-1)
+    for k in range(a.ndim - 1):
+        out = np.fft.fft(out, size, axis=k)
+    return out
+
+
 # Largest dense kernel matrix method="direct" builds (P^2 float64 entries).
 DENSE_MATRIX_LIMIT_BYTES = 2**30
 
@@ -182,17 +216,19 @@ class NonlocalOperator:
 
     The sampled kernel is stored as the rFFT of its circulant embedding
     (sample_kernel): offset d along an axis sits at index d mod M, with
-    M = next_fast_len(2n - 1) >= 2n - 1, so the cyclic convolution of the
+    M = _fast_len(2n - 1) >= 2n - 1, so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
-    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
-    dense matrix V(|x - y|) of the direct oracle is built on first use.
+    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
+    kernel_hat is _rfft_padded of the sampled kernel, the bits of
+    scipy.fft.rfftn.  The dense matrix V(|x - y|) of the direct oracle is
+    built on first use.
     """
 
     def __init__(self, V: KernelV, spec: GridSpec):
         self.V, self.spec = V, spec
         kernel = sample_kernel(V, spec)
         self.fft_shape = kernel.shape
-        self.kernel_hat = rfftn(kernel)
+        self.kernel_hat = _rfft_padded(kernel, kernel.shape[-1])
         self._dense = None
 
     def dense_matrix(self) -> np.ndarray:
@@ -244,12 +280,27 @@ def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
                     method: str = "fft") -> np.ndarray:
     """Free-space linear convolution sum_y V(|x - y|) g(y) (no volume factor).
 
-    Every nonlocal application goes through here: "fft" is one rfftn and
-    one irfftn on the circulant embedding, "direct" the dense matrix.
+    Every nonlocal application goes through here: "fft" is the cyclic
+    convolution of the circulant embedding, "direct" the dense matrix.
+
+    The fft path gives the bits of
+    irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft.  The
+    forward pass is _rfft_padded.  The inverse runs the complex transforms
+    along axes 0, 1, ... and then the real one along the last axis, as
+    irfftn does, but keeps only the first n points of each axis before the
+    next pass, so no line that the final slice drops is transformed.  The
+    passes leave out the 1/M^N factor; one product applies it to each kept
+    point, as irfftn's last pass does.  The pruned passes do about 0.57 times
+    the line work of the full transforms in 3D, and 0.74 times in 2D.
     """
     if method == "fft":
-        full = irfftn(rfftn(g, op.fft_shape) * op.kernel_hat, op.fft_shape)
-        return full[tuple(slice(n) for n in g.shape)].copy()
+        size = op.fft_shape[-1]
+        full = _rfft_padded(g, size) * op.kernel_hat
+        for k, n in enumerate(g.shape[:-1]):
+            keep = (slice(None),) * k + (slice(n),)
+            full = np.fft.ifft(full, axis=k, norm="forward")[keep]
+        out = np.fft.irfft(full, size, axis=-1, norm="forward")
+        return out[..., :g.shape[-1]] * (1.0 / size**g.ndim)
     if method == "direct":
         return (op.dense_matrix() @ g.ravel()).reshape(g.shape)
     raise ValueError(f"unknown method {method!r}")

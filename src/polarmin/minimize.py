@@ -13,11 +13,11 @@ halving until the energy strictly decreases.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
-from scipy.fft import dstn, idstn
-from scipy.ndimage import map_coordinates
 
 from .energy import (EnergyBreakdown, EnergyModel, discrete_gradient,
                      eval_total)
@@ -115,20 +115,40 @@ def dilate(U: MultiField, delta: float, p: float) -> MultiField:
     Values are sampled by multilinear interpolation with zero outside the
     box, so the discrete L^p norm is preserved only up to interpolation
     error.
+
+    The index coordinate c = (i - centre) delta + centre of an output point
+    is separable, one per axis.  Its value is the sum over the 2^N corners
+    of ((v w_axis0) w_axis1) ..., with w0 = 1 - (c - floor c) and
+    w1 = 1 - w0, added to 0.0 with the last axis varying fastest; it is 0
+    where any coordinate falls outside [0, n - 1].  That is the arithmetic
+    of scipy.ndimage.map_coordinates at order 1 with mode "constant", so
+    the bits are the same.
     """
     if delta <= 0:
         raise ValueError("dilation factor must be positive")
     spec = U.spec
-    cpt = (spec.points_per_axis - 1) / 2.0
-    # index coordinates of delta*x for every output point
-    idx = np.indices(spec.shape).astype(float)
-    coords = (idx - cpt) * delta + cpt
-    amp = delta ** (spec.dim / p)
+    n, dim = spec.points_per_axis, spec.dim
+    cpt = (n - 1) / 2.0
+    c = (np.arange(n) - cpt) * delta + cpt
+    lower = np.floor(c)
+    w0 = 1.0 - (c - lower)
+    weights = (w0, 1.0 - w0)
+    # an index is clipped only outside [0, n - 1] or where its weight is 0
+    i0 = np.clip(lower.astype(np.intp), 0, n - 1)
+    corners = (i0, np.minimum(i0 + 1, n - 1))
+    shapes = [(1,) * k + (n,) + (1,) * (dim - 1 - k) for k in range(dim)]
+    inside = functools.reduce(np.logical_and, [
+        ((c >= 0) & (c <= n - 1)).reshape(shape) for shape in shapes])
+    amp = delta ** (dim / p)
     comps = []
     for comp in U.components:
-        vals = map_coordinates(comp.values, coords.reshape(spec.dim, -1),
-                               order=1, mode="constant", cval=0.0)
-        comps.append(ScalarField(spec, amp * vals.reshape(spec.shape)))
+        vals = 0.0
+        for corner in itertools.product((0, 1), repeat=dim):
+            term = comp.values[np.ix_(*[corners[a] for a in corner])]
+            for a, shape in zip(corner, shapes):
+                term = term * weights[a].reshape(shape)
+            vals = vals + term
+        comps.append(ScalarField(spec, amp * np.where(inside, vals, 0.0)))
     return MultiField(comps)
 
 
@@ -208,7 +228,33 @@ def _sobolev_symbol(spec: GridSpec) -> np.ndarray:
 
 
 def _dst(values: np.ndarray) -> np.ndarray:
-    return dstn(values, type=1, norm="ortho")
+    """Orthonormal DST-I over every axis; the map is its own inverse.
+
+    This is pocketfft's DST-I, which scipy.fft.dstn and idstn (type 1,
+    "ortho") wrap, with the same bits, signed zeros included.  For axes
+    0, 1, ... in order, the coefficients along the axis are minus the
+    imaginary parts of bins 1..n of the real FFT of the odd extension
+    [0, x, 0, -x reversed], of length 2(n + 1).  The pass over axis 0 also
+    multiplies by 1/sqrt(prod 2(n_k + 1)), rounded once from long double.
+    Each pass transforms the leading axis and moves it to the back, so the
+    next axis leads.  The running array v holds minus the coefficients: a
+    pass builds its extension as [0, -v, 0, v reversed] and keeps the
+    imaginary parts without negating them, and one negation at the end
+    gives the coefficients in C order.
+    """
+    shape = values.shape
+    scale = float(1 / np.sqrt(np.longdouble(math.prod(2 * (n + 1)
+                                                       for n in shape))))
+    v = -values
+    for k, n in enumerate(shape):
+        ext = np.zeros((2 * (n + 1),) + v.shape[1:])
+        np.negative(v, out=ext[1:n + 1])
+        ext[n + 2:] = v[::-1]
+        im = np.fft.rfft(ext, axis=0).imag[1:n + 1]
+        if k == 0:
+            im = im * scale
+        v = np.moveaxis(im, 0, -1)
+    return np.negative(v, order="C")
 
 
 def _tangent_direction(U: MultiField, grad: MultiField, p: float,
@@ -229,7 +275,7 @@ def _tangent_direction(U: MultiField, grad: MultiField, p: float,
         p_phi_hat = phi_hat / symbol
         mu = float(np.vdot(g_hat, p_phi_hat)) / float(np.vdot(phi_hat,
                                                                p_phi_hat))
-        d = idstn(g_hat / symbol - mu * p_phi_hat, type=1, norm="ortho")
+        d = _dst(g_hat / symbol - mu * p_phi_hat)
         dirs.append(ScalarField(U.spec, d))
         rs.append(g.values - mu * phi)
     return MultiField(dirs), rs

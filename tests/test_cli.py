@@ -2,6 +2,8 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -143,6 +145,38 @@ class TestMainExitCodes:
             assert key in text
         assert (out / "trace.csv").exists()
         assert (out / "final.rfld").exists()
+
+
+SCIPY_FREE_RUN = """
+import sys
+import polarmin
+from polarmin.cli import main
+from polarmin.grid import make_grid
+from polarmin.verify import run_property_suite
+run_property_suite(0, 2, make_grid(3, 5, 2.0))
+verify, minimize, out = sys.argv[1:]
+codes = [main(["verify", "--config", verify, "--out", out + "/verify"]),
+         main(["minimize", "--config", minimize, "--out", out + "/minimize"])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_verify_and_minimize_leave_scipy_unloaded(tmp_path):
+    verify = write_config(tmp_path, "command = verify\ndim = 3\nn = 5\n"
+                          "trials = 2\n", "verify.cfg")
+    minimize = write_config(tmp_path,
+                            "command = minimize\ndim = 3\nn = 9\n"
+                            "model = example_paper\ninit = dilation_scan\n"
+                            "k_pol = 2\nmax_steps = 4\n", "minimize.cfg")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules[main.__module__].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, verify, minimize,
+         str(tmp_path)], check=True, capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "[0, 0] []"
+    assert (tmp_path / "minimize" / "trace.csv").exists()
 
 
 class TestDeterminism:

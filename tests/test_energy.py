@@ -1,11 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from polarmin import energy, models
 from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
@@ -222,15 +219,41 @@ class TestNonlocalOperator:
             kernel_convolve(np.zeros(spec.shape), op, "direct")
         assert op._dense is None
 
-    def test_import_leaves_scipy_signal_unloaded(self):
-        code = ("import sys, polarmin; "
-                "print('scipy.signal' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(energy.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "False"
+
+# the TestNonlocalOperator grids, plus 3D n=17 and n=33
+SCIPY_ORACLE_GRIDS = [(d, n) for d in (1, 2, 3) for n in (3, 9, 13, 17)] + [
+    (1, 99), (1, 197), (3, 33)]
+
+
+class TestScipyOracle:
+    """The numpy transforms give the bits of the scipy.fft calls they
+    replace."""
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        for a, b in ((got.real, expected.real), (got.imag, expected.imag)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_fast_len_is_next_fast_len(self):
+        assert [energy._fast_len(t) for t in range(1, 5001)] == [
+            next_fast_len(t, real=True) for t in range(1, 5001)]
+
+    @pytest.mark.parametrize("dim,n", SCIPY_ORACLE_GRIDS)
+    def test_fft_convolution_bits(self, dim, n):
+        spec = make_grid(dim, n, 2.0)
+        op = nonlocal_operator(models.choquard(m=1, dim=dim).V, spec)
+        self.assert_same_bits(op.kernel_hat,
+                              rfftn(sample_kernel(op.V, spec)))
+        rng = np.random.default_rng(n)
+        # the clamped field has exact zeros, as minimize's iterates do
+        for g in (rng.random(spec.shape),
+                  np.maximum(rng.random(spec.shape) - 0.5, 0.0)):
+            full = irfftn(rfftn(g, op.fft_shape) * op.kernel_hat,
+                          op.fft_shape)
+            self.assert_same_bits(kernel_convolve(g, op),
+                                  full[tuple(slice(n) for _ in range(dim))])
 
 
 class TestNonlocal:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
+from scipy.ndimage import map_coordinates
 
 from polarmin import energy, models
 from polarmin.energy import (EnergyModel, IntegrandJ, LocalTermF,
@@ -171,6 +173,29 @@ class TestDilate:
         with pytest.raises(ValueError, match="positive"):
             dilate(random_multifield(spec, 1, 0), 0.0, 2.0)
 
+    @pytest.mark.parametrize("delta", [1 / 8, 1 / 4, 1 / 3, 1 / 2, 0.7, 1.0,
+                                       1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bits_of_map_coordinates(self, dim, delta):
+        rng = np.random.default_rng(dim)
+        for n in (3, 9, 17):
+            spec = make_grid(dim, n, 2.0)
+            # two components, one signed with exact zeros
+            signed = rng.standard_normal(spec.shape)
+            signed[np.abs(signed) < 0.5] = 0.0
+            vals = [signed, rng.random(spec.shape)]
+            got = dilate(MultiField([ScalarField(spec, v) for v in vals]),
+                         delta, 3.0)
+            cpt = (n - 1) / 2.0
+            coords = (np.indices(spec.shape) - cpt) * delta + cpt
+            for v, comp in zip(vals, got.components):
+                expected = delta ** (dim / 3.0) * map_coordinates(
+                    v, coords, order=1, mode="constant", cval=0.0)
+                assert comp.values.flags.c_contiguous
+                assert np.array_equal(comp.values, expected)
+                assert np.array_equal(np.signbit(comp.values),
+                                      np.signbit(expected))
+
     def test_scan_reprojects_onto_sphere(self):
         spec = make_grid(2, 17, 4.0)
         U = MultiField([random_bump_field(spec, np.random.default_rng(16))])
@@ -182,6 +207,44 @@ class TestDilate:
             assert np.isfinite(energy)
             assert lp_norm(Ud.components[0], 2.0) ** 2 == pytest.approx(
                 1.0, abs=1e-12)
+
+
+def sine_matrix(n):
+    """Dense orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1))."""
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+
+
+class TestDst:
+    @pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 65])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bits_of_scipy_dstn_and_idstn(self, dim, n):
+        rng = np.random.default_rng(n)
+        signed = rng.standard_normal((n,) * dim)
+        clamped = np.maximum(signed, 0.0)
+        # a centred impulse has exact zero coefficients, which carry signs
+        impulse = np.zeros((n,) * dim)
+        impulse[(n // 2,) * dim] = 1.0
+        for x in (signed, clamped, impulse):
+            got = mn._dst(x)
+            assert got.flags.c_contiguous
+            for expected in (dstn(x, type=1, norm="ortho"),
+                             idstn(x, type=1, norm="ortho")):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("dim,n", [(1, 3), (1, 65), (2, 9), (2, 17),
+                                       (3, 5), (3, 17)])
+    def test_dense_sine_matrix_and_involution(self, dim, n):
+        x = np.random.default_rng(dim * n).standard_normal((n,) * dim)
+        expected = x
+        for k in range(dim):
+            expected = np.moveaxis(
+                np.tensordot(sine_matrix(n), expected, axes=(1, k)), 0, k)
+        got = mn._dst(x)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(mn._dst(got) - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 class TestDescentAndMinimize:
