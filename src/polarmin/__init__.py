@@ -1,13 +1,12 @@
 """Polarization, Schwarz symmetrization and symmetric constrained minimizers
 on uniform box grids."""
 
-from .grid import (GridSpec, MultiField, ScalarField, distribution_function,
-                   gradient_magnitude, lp_norm, make_grid, read_field,
-                   write_field)
+from .grid import (GridSpec, MultiField, ScalarField, gradient_magnitude,
+                   lp_norm, make_grid, read_field, write_field)
 from .rearrange import (ConvergenceTrace, HalfSpace, PolarizationSchedule,
                         admissible_half_spaces, iterate_polarizations,
-                        polarize, polarize_multi, reflect, schwarz,
-                        schwarz_multi, symmetry_deficit)
+                        polarize, polarize_multi, schwarz, schwarz_multi,
+                        symmetry_deficit)
 from .energy import (AssumptionReport, CouplingG, EnergyBreakdown,
                      EnergyModel, IntegrandJ, KernelV, LocalTermF,
                      NonlocalOperator, check_assumptions, discrete_gradient,

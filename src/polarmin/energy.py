@@ -68,14 +68,15 @@ class CouplingG:
     exponents_mu: tuple
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class KernelV:
     """Radial non-increasing interaction kernel V(r), r > 0.
 
     origin_rule is "cell_average", "zero", or ("explicit", real value) and
     fixes the kernel value at zero offset.  The weak-L^q membership of V
     that the model assumes is not stored: no finite check certifies it
-    (see check_assumptions).
+    (see check_assumptions).  Frozen, so (v, origin_rule) is its hash and
+    nonlocal_operator can cache on it.
     """
 
     v: callable
@@ -207,10 +208,6 @@ def _rfft_padded(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-# Largest dense kernel matrix method="direct" builds (P^2 float64 entries).
-DENSE_MATRIX_LIMIT_BYTES = 2**30
-
-
 class NonlocalOperator:
     """The map g -> sum_y V(|x - y|) g(y) on one grid (no volume factor).
 
@@ -220,8 +217,7 @@ class NonlocalOperator:
     zero-padded g equals the free-space sum on the first n points per axis
     (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
     kernel_hat is _rfft_padded of the sampled kernel, the bits of
-    scipy.fft.rfftn.  The dense matrix V(|x - y|) of the direct oracle is
-    built on first use.
+    scipy.fft.rfftn.
     """
 
     def __init__(self, V: KernelV, spec: GridSpec):
@@ -229,61 +225,19 @@ class NonlocalOperator:
         kernel = sample_kernel(V, spec)
         self.fft_shape = kernel.shape
         self.kernel_hat = _rfft_padded(kernel, kernel.shape[-1])
-        self._dense = None
-
-    def dense_matrix(self) -> np.ndarray:
-        """Pairwise matrix V(|x - y|) over all grid points (direct oracle).
-
-        Distances come from the point coordinates, one block of rows and
-        one axis at a time, independently of the sampled kernel.
-        """
-        if self._dense is not None:
-            return self._dense
-        spec = self.spec
-        P = spec.num_points
-        nbytes = P * P * 8
-        if nbytes > DENSE_MATRIX_LIMIT_BYTES:
-            raise ValueError(
-                f"dense kernel matrix for {P} points needs "
-                f"{nbytes / 2**30:.1f} GiB, above the "
-                f"{DENSE_MATRIX_LIMIT_BYTES / 2**30:g} GiB limit of "
-                f"method 'direct'")
-        x = spec.coords.reshape(-1, spec.dim)
-        origin = origin_value(self.V, spec)
-        mat = np.empty((P, P))
-        rows = max(1, 2**20 // P)  # about 2^20 entries per temporary
-        for i in range(0, P, rows):
-            d2 = np.zeros((min(rows, P - i), P))
-            for k in range(spec.dim):
-                d2 += (x[i:i + rows, k, None] - x[None, :, k]) ** 2
-            d = np.sqrt(d2)
-            nz = d > 0.5 * spec.h
-            block = mat[i:i + rows]
-            block[nz] = self.V.v(d[nz])
-            _require_finite(block[nz], "kernel")
-            block[~nz] = origin
-        self._dense = mat
-        return mat
 
 
 @functools.lru_cache(maxsize=4)
-def _operator(spec: GridSpec, v, origin_rule) -> NonlocalOperator:
-    return NonlocalOperator(KernelV(v, origin_rule), spec)
-
-
 def nonlocal_operator(V: KernelV, spec: GridSpec) -> NonlocalOperator:
     """The operator of V on spec, from a small least-recently-used cache."""
-    return _operator(spec, V.v, V.origin_rule)
+    return NonlocalOperator(V, spec)
 
 
-def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
-                    method: str = "fft") -> np.ndarray:
+def kernel_convolve(g: np.ndarray, op: NonlocalOperator) -> np.ndarray:
     """Free-space linear convolution sum_y V(|x - y|) g(y) (no volume factor).
 
-    Every nonlocal application goes through here: "fft" is the cyclic
-    convolution of the circulant embedding, "direct" the dense matrix.
-
-    The fft path gives the bits of
+    Every nonlocal application goes through here, as the cyclic
+    convolution of the circulant embedding.  It gives the bits of
     irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft.  The
     forward pass is _rfft_padded.  The inverse runs the complex transforms
     along axes 0, 1, ... and then the real one along the last axis, as
@@ -293,40 +247,44 @@ def kernel_convolve(g: np.ndarray, op: NonlocalOperator,
     point, as irfftn's last pass does.  The pruned passes do about 0.57 times
     the line work of the full transforms in 3D, and 0.74 times in 2D.
     """
-    if method == "fft":
-        size = op.fft_shape[-1]
-        full = _rfft_padded(g, size) * op.kernel_hat
-        for k, n in enumerate(g.shape[:-1]):
-            keep = (slice(None),) * k + (slice(n),)
-            full = np.fft.ifft(full, axis=k, norm="forward")[keep]
-        out = np.fft.irfft(full, size, axis=-1, norm="forward")
-        return out[..., :g.shape[-1]] * (1.0 / size**g.ndim)
-    if method == "direct":
-        return (op.dense_matrix() @ g.ravel()).reshape(g.shape)
-    raise ValueError(f"unknown method {method!r}")
+    size = op.fft_shape[-1]
+    full = _rfft_padded(g, size) * op.kernel_hat
+    for k, n in enumerate(g.shape[:-1]):
+        keep = (slice(None),) * k + (slice(n),)
+        full = np.fft.ifft(full, axis=k, norm="forward")[keep]
+    out = np.fft.irfft(full, size, axis=-1, norm="forward")
+    return out[..., :g.shape[-1]] * (1.0 / size**g.ndim)
 
 
-def eval_total(U: MultiField, model: EnergyModel,
-               method: str = "fft") -> EnergyBreakdown:
-    """E1, E2 and E3 of U and the potential V*g behind E3.
+def _nonlocal_sum(U: MultiField, model: EnergyModel) -> tuple:
+    """(Q, V*g) with Q = h^2N sum_x g(x) (V*g)(x), g = G(U), the positive
+    nonlocal sum that E3 negates; (0.0, None) without a nonlocal term.
 
-    E1 = h^N sum_i sum_x j_i(u_i, |Du_i|) with |Du_i| from
-    gradient_magnitude, E2 = -h^N sum_x F(|x|, U) and
-    E3 = -h^2N sum_x g(x) (V*g)(x) with g = G(U); method selects the
-    kernel_convolve path of V*g.  E3 is evaluated first.
+    The component count is checked first, for every model.
     """
     if len(U.components) != model.m:
         raise ValueError("component count does not match model")
+    if model.G is None:
+        return 0.0, None
+    g = np.asarray(model.G.g([c.values for c in U.components]),
+                   dtype=np.float64)
+    _require_finite(g, "coupling")
+    potential = kernel_convolve(g, nonlocal_operator(model.V, U.spec))
+    return float(np.sum(g * potential)) * U.spec.cell_volume**2, potential
+
+
+def eval_total(U: MultiField, model: EnergyModel) -> EnergyBreakdown:
+    """E1, E2 and E3 of U and the potential V*g behind E3.
+
+    E1 = h^N sum_i sum_x j_i(u_i, |Du_i|) with |Du_i| from
+    gradient_magnitude, E2 = -h^N sum_x F(|x|, U) and E3 = -Q from
+    _nonlocal_sum, whose V*g runs through kernel_convolve.  E3 is
+    evaluated first.
+    """
+    Q, potential = _nonlocal_sum(U, model)
+    E3 = 0.0 if potential is None else -Q
     spec = U.spec
     hN = spec.cell_volume
-    vals = [c.values for c in U.components]
-    E3, potential = 0.0, None
-    if model.G is not None:
-        g = np.asarray(model.G.g(vals), dtype=np.float64)
-        _require_finite(g, "coupling")
-        potential = kernel_convolve(g, nonlocal_operator(model.V, spec),
-                                    method)
-        E3 = -float(np.sum(g * potential)) * hN**2
     E1 = 0.0
     for comp, integrand in zip(U.components, model.js):
         j = integrand.j(comp.values, gradient_magnitude(comp).values)
@@ -334,7 +292,7 @@ def eval_total(U: MultiField, model: EnergyModel,
         E1 += float(np.sum(j))
     E2 = 0.0
     if model.F is not None:
-        f = model.F.f(spec.radii, vals)
+        f = model.F.f(spec.radii, [c.values for c in U.components])
         _require_finite(np.asarray(f), "integrand")
         E2 = -float(np.sum(f)) * hN
     return EnergyBreakdown(E1 * hN, E2, E3, potential)

@@ -149,13 +149,6 @@ def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
     return s ** (1.0 / p)
 
 
-def distribution_function(field: ScalarField, level: float) -> float:
-    """Discrete measure of the superlevel set {u > level}."""
-    if level <= 0:
-        raise ValueError("level must be positive")
-    return float(np.count_nonzero(field.values > level)) * field.spec.cell_volume
-
-
 def axis_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Finite-difference derivative: centered interior, one-sided at faces."""
     d = np.empty_like(values)

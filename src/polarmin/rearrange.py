@@ -82,21 +82,6 @@ def _mirror_steps(spec: GridSpec, H: HalfSpace) -> int:
     return j
 
 
-def reflect(spec: GridSpec, H: HalfSpace, index: tuple) -> tuple:
-    """Grid index of the reflection x_H of a grid point across dH.
-
-    On centred indices i and the integer normal d the reflection is
-    i - (2 d.i / |d|^2 + j) d, with j from ``_mirror_steps``.
-    """
-    c = (spec.points_per_axis - 1) // 2
-    d = np.array(H.normal)
-    i = np.array(index) - c
-    r = i - (2 * (d @ i) // (d @ d) + _mirror_steps(spec, H)) * d + c
-    if np.any((r < 0) | (r >= spec.points_per_axis)):
-        raise ValueError("reflected point lies outside the box")
-    return tuple(int(v) for v in r)
-
-
 class _Block(NamedTuple):
     """Where the reflection pairs of a half-space sit in a field.
 
@@ -169,8 +154,7 @@ def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
     leaves the box, keep their value; since 0 is in H, every point outside
     H has its image in the box.  The exchange runs through the block views
     of ``_block`` in ``_polarize_into``, the one implementation that
-    ``iterate_polarizations`` also scores its candidates with; ``reflect``
-    is its pointwise oracle.
+    ``iterate_polarizations`` also scores its candidates with.
     """
     if np.any(field.values < 0):
         raise ValueError("polarization requires non-negative fields")

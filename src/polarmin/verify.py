@@ -12,7 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .energy import EnergyModel, IntegrandJ, _require_finite, eval_total
+from .energy import (EnergyModel, IntegrandJ, _nonlocal_sum,
+                     _require_finite)
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
                    axis_sum, gradient_magnitude)
 from .models import plaplace
@@ -107,13 +108,15 @@ def check_local_monotonicity(U: MultiField, F, H: HalfSpace) -> InequalityReport
 
 
 def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
-                                H: HalfSpace,
-                                method: str = "direct") -> InequalityReport:
-    """Q(U^H) >= Q(U) for Q = -E3 of model, the positive nonlocal sum."""
+                                H: HalfSpace) -> InequalityReport:
+    """Q(U^H) >= Q(U) for Q = -E3 of model, the positive nonlocal sum.
+
+    Q comes from the sum eval_total negates, without E1 and E2.
+    """
     if model.G is None:
         raise ValueError("model has no nonlocal term")
-    q_before = -eval_total(U, model, method).E3
-    q_after = -eval_total(polarize_multi(U, H), model, method).E3
+    q_before = _nonlocal_sum(U, model)[0]
+    q_after = _nonlocal_sum(polarize_multi(U, H), model)[0]
     return InequalityReport("nonlocal_monotonicity",
                             left=q_before, right=q_after,
                             tolerance=1e-10 * (1.0 + abs(q_before)))

@@ -12,6 +12,8 @@ from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            lp_norm, make_grid)
 
+from oracles import dense_kernel_matrix, dense_q, dense_sum
+
 # cell average of 1/|x| over [-h/2, h/2]^3 equals this constant divided by h
 # (frozen from the 16-point midpoint rule; scale-invariant in h)
 COULOMB_CELL_CONSTANT = 2.378989717815892
@@ -153,17 +155,6 @@ class TestKernel:
         assert sample_kernel(V, spec)[(0,) * dim] == origin_value(V, spec)
 
 
-def dense_sum(g, V, spec):
-    """sum_y V(|x - y|) g(y) by an explicit pairwise sum over the grid."""
-    x = spec.coords.reshape(-1, spec.dim)
-    d = np.sqrt(sum((x[:, None, k] - x[None, :, k]) ** 2
-                    for k in range(spec.dim)))
-    off = ~np.eye(len(x), dtype=bool)
-    mat = np.full(d.shape, origin_value(V, spec))
-    mat[off] = V.v(d[off])
-    return (mat @ g.ravel()).reshape(g.shape)
-
-
 class TestNonlocalOperator:
     # n = 3, 13: next_fast_len(2n - 1) == 2n - 1; n = 9, 17: it is larger,
     # so a wrong embedding would wrap around.  The 17^3 pairwise sum needs
@@ -182,11 +173,10 @@ class TestNonlocalOperator:
         expected = dense_sum(g, V, spec)
         op = nonlocal_operator(V, spec)
         assert op.fft_shape == (next_fast_len(2 * n - 1, real=True),) * dim
-        for method in ("fft", "direct"):
-            got = kernel_convolve(g, op, method)
-            assert got.shape == spec.shape
-            assert np.max(np.abs(got - expected)) <= (
-                1e-12 * np.max(np.abs(expected)))
+        got = kernel_convolve(g, op)
+        assert got.shape == spec.shape
+        assert np.max(np.abs(got - expected)) <= (
+            1e-12 * np.max(np.abs(expected)))
 
     def test_cache_hit_and_bounded(self):
         V = models.choquard(m=1, dim=3).V
@@ -194,7 +184,7 @@ class TestNonlocalOperator:
         assert nonlocal_operator(V, spec) is nonlocal_operator(V, spec)
         for n in (3, 5, 7, 9, 11, 13, 15):
             nonlocal_operator(V, make_grid(2, n, 2.0))
-            info = energy._operator.cache_info()
+            info = nonlocal_operator.cache_info()
             assert info.maxsize == 4 and info.currsize <= 4
 
     def test_origin_rule_is_part_of_the_key(self):
@@ -211,13 +201,6 @@ class TestNonlocalOperator:
         centre = [kernel_convolve(g, op)[2, 2, 2] for op in ops]
         assert centre == pytest.approx(
             [origin_value(op.V, spec) for op in ops], rel=1e-12)
-
-    def test_dense_matrix_refused_above_limit(self):
-        spec = make_grid(3, 33, 2.0)
-        op = nonlocal_operator(models.choquard(m=1, dim=3).V, spec)
-        with pytest.raises(ValueError, match=r"35937 points needs 9\.6 GiB"):
-            kernel_convolve(np.zeros(spec.shape), op, "direct")
-        assert op._dense is None
 
 
 # the TestNonlocalOperator grids, plus 3D n=17 and n=33
@@ -262,8 +245,8 @@ class TestNonlocal:
         model = models.choquard(m=1, dim=3)
         rng = np.random.default_rng(4)
         U = MultiField([ScalarField(spec, rng.random(spec.shape))])
-        qf = eval_total(U, model, "fft").E3
-        qd = eval_total(U, model, "direct").E3
+        qf = eval_total(U, model).E3
+        qd = -dense_q(U, model, dense_kernel_matrix(model.V, spec))
         assert qf == pytest.approx(qd, rel=1e-12)
 
     def test_point_mass_hand_value(self):
@@ -275,12 +258,6 @@ class TestNonlocal:
         v0 = COULOMB_CELL_CONSTANT / spec.h
         assert eval_total(U, model).E3 == pytest.approx(
             -v0 * spec.cell_volume**2, rel=1e-12)
-
-    def test_unknown_method(self):
-        spec = make_grid(3, 5, 2.0)
-        U = MultiField([ScalarField(spec, np.zeros(spec.shape))])
-        with pytest.raises(ValueError, match="unknown method"):
-            eval_total(U, models.choquard(), "spectral")
 
     def test_no_coupling_is_zero(self):
         spec = make_grid(1, 5, 2.0)
@@ -316,12 +293,11 @@ class TestEvalTotal:
         e2 = -hN * float(np.sum(F.f(spec.radii, vals)))
         g = vals[0] ** 2 + vals[1] ** 2
         e3 = -hN**2 * float(np.sum(g * dense_sum(g, model.V, spec)))
-        for method in ("fft", "direct"):
-            bk = eval_total(U, model, method)
-            assert bk.E1 == pytest.approx(e1, rel=1e-13)
-            assert bk.E2 == pytest.approx(e2, rel=1e-13)
-            assert bk.E3 == pytest.approx(e3, rel=1e-12)
-            assert bk.total == bk.E1 + bk.E2 + bk.E3
+        bk = eval_total(U, model)
+        assert bk.E1 == pytest.approx(e1, rel=1e-13)
+        assert bk.E2 == pytest.approx(e2, rel=1e-13)
+        assert bk.E3 == pytest.approx(e3, rel=1e-12)
+        assert bk.total == bk.E1 + bk.E2 + bk.E3
 
     def test_non_finite_integrand_reported(self):
         spec = make_grid(1, 5, 2.0)

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from polarmin.grid import (FieldFormatError, MultiField, ScalarField,
                            axis_derivative, axis_derivative_adjoint, axis_sum,
-                           distribution_function, gradient_components,
-                           gradient_magnitude, lp_norm, make_grid, read_field,
-                           write_field)
+                           gradient_components, gradient_magnitude, lp_norm,
+                           make_grid, read_field, write_field)
 
 
 def field_1d(values, half_width=2.0):
@@ -117,20 +116,6 @@ class TestLpNorm:
                                 == plain ** (1.0 / p))
                         checked += 1
         assert checked == 18  # the other 2 of the 20 pairs overflow
-
-
-class TestDistributionFunction:
-    def test_hand_value(self):
-        u = field_1d([0, 2, 1, 0, 3])
-        assert distribution_function(u, 1.5) == 2.0
-
-    def test_above_max(self):
-        u = field_1d([0, 2, 1, 0, 3])
-        assert distribution_function(u, 5.0) == 0.0
-
-    def test_level_must_be_positive(self):
-        with pytest.raises(ValueError):
-            distribution_function(field_1d([1, 1, 1, 1, 1]), 0.0)
 
 
 class TestDerivatives:

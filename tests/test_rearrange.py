@@ -16,7 +16,7 @@ from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
                                 _polarized_objective, _rel_dists,
                                 admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
-                                polarize, polarize_multi, reflect, schwarz, schwarz_multi,
+                                polarize, polarize_multi, schwarz, schwarz_multi,
                                 symmetry_deficit)
 from polarmin.verify import random_bump_field
 
@@ -129,24 +129,8 @@ class TestHalfSpace:
 
 
 class TestReflect:
-    def test_1d_mirror(self):
-        H = HalfSpace((1,), 0.0)
-        assert reflect(SPEC_1D, H, (3,)) == (1,)  # x=1 -> x=-1
-
-    def test_boundary_fixed(self):
-        H = HalfSpace((1,), 0.0)
-        assert reflect(SPEC_1D, H, (2,)) == (2,)
-
-    def test_2d_diagonal_swaps_indices(self):
-        H = HalfSpace((1, -1), 0.0)
-        assert reflect(SPEC_2D, H, (2, 6)) == (6, 2)
-        assert reflect(SPEC_2D, H, (4, 4)) == (4, 4)
-
-    def test_out_of_box_reflection_rejected(self):
-        H = HalfSpace((1,), -1.0)
-        with pytest.raises(ValueError, match="outside the box"):
-            reflect(SPEC_1D, H, (4,))  # x=2 -> x=-4
-
+    # the reflection is an involution, so a second polarization finds every
+    # pair already ordered
     @given(nonneg_2d, hs_strategy(SPEC_2D))
     @settings(max_examples=30, deadline=None)
     def test_involution(self, vals, H):
@@ -187,26 +171,19 @@ class TestPolarize:
     @given(nonneg_2d, hs_strategy(SPEC_2D))
     @settings(max_examples=30, deadline=None)
     def test_dominates_reflection_inside_h(self, vals, H):
-        uh = polarize(ScalarField(SPEC_2D, vals), H).values
-        e = np.array(H.normal) / np.linalg.norm(H.normal)
-        for idx in np.ndindex(SPEC_2D.shape):
-            if SPEC_2D.coords[idx] @ e - H.offset <= 1e-9 * SPEC_2D.h:
-                continue
-            try:
-                partner = reflect(SPEC_2D, H, idx)
-            except ValueError:
-                continue
-            assert uh[idx] >= uh[partner]
+        uh = polarize(ScalarField(SPEC_2D, vals), H).values.ravel()
+        partner, in_h, _ = oracle_tables(SPEC_2D, H)
+        sel = in_h & (partner >= 0)
+        assert np.all(uh[sel] >= uh[partner[sel]])
 
     def test_leak_is_zero_for_admissible_family(self):
         # every point strictly outside H has its mirror image in the box,
         # strictly inside H, so no value is paired with the outside
         for spec in (SPEC_2D, SPEC_3D):
             for H in admissible_half_spaces(spec):
-                e = np.array(H.normal) / np.linalg.norm(H.normal)
-                side = spec.coords @ e - H.offset
-                for idx in zip(*np.nonzero(side < -1e-9 * spec.h)):
-                    assert side[reflect(spec, H, idx)] > 1e-9 * spec.h
+                partner, in_h, out_h = oracle_tables(spec, H)
+                assert np.all(partner[out_h] >= 0)
+                assert np.all(in_h[partner[out_h]])
 
     def test_multi_reduces_to_scalar(self):
         u = ScalarField(SPEC_1D, [0, 3, 1, 0, 0])
@@ -238,27 +215,12 @@ class TestOracle:
             assert np.array_equal(polarize(u, H).values,
                                   oracle_polarize(vals, H, spec)), H
 
-    @pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D, SPEC_3D],
-                             ids=["1d", "2d", "3d"])
-    def test_reflect_every_point(self, spec):
-        for H in admissible_half_spaces(spec):
-            partner, _, _ = oracle_tables(spec, H)
-            for flat, idx in enumerate(np.ndindex(spec.shape)):
-                if partner[flat] < 0:
-                    with pytest.raises(ValueError, match="outside the box"):
-                        reflect(spec, H, idx)
-                else:
-                    expect = np.unravel_index(partner[flat], spec.shape)
-                    assert reflect(spec, H, idx) == tuple(map(int, expect))
-
 
 class TestBounds:
     def test_off_lattice_offset_rejected(self):
         H = HalfSpace((1,), -0.3)
         with pytest.raises(ValueError, match="not grid-compatible"):
             polarize(ScalarField(SPEC_1D, [0, 3, 1, 0, 0]), H)
-        with pytest.raises(ValueError, match="not grid-compatible"):
-            reflect(SPEC_1D, H, (2,))
 
     @pytest.mark.parametrize("H", [HalfSpace((1,), -2.5),
                                    HalfSpace((-1,), -7.0),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarmin import models, verify
-from polarmin.energy import IntegrandJ, LocalTermF
+from polarmin.energy import IntegrandJ, LocalTermF, eval_total
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            make_grid)
 from polarmin.rearrange import (HalfSpace, admissible_half_spaces, polarize,
-                                schwarz)
+                                polarize_multi, schwarz)
 from polarmin.verify import (SuiteLine, bump_params, check_local_monotonicity,
                              check_nonlocal_monotonicity,
                              check_polarization_invariance, check_polya_szego,
                              equiintegrability_profile, eval_bumps, grad_tol,
                              random_bump_field, run_property_suite)
+
+from oracles import dense_kernel_matrix, dense_q
 
 SPEC_2D = make_grid(2, 9, 2.0)
 
@@ -303,13 +307,54 @@ class TestNonlocalMonotonicity:
     def test_random_fields_never_decrease(self):
         spec = make_grid(3, 7, 2.0)
         model = models.choquard(m=2, dim=3)
+        mat = dense_kernel_matrix(model.V, spec)
         family = admissible_half_spaces(spec)
         rng = np.random.default_rng(4)
         for _ in range(5):
             U = MultiField([random_bump_field(spec, rng) for _ in range(2)])
             H = family[rng.integers(len(family))]
-            rep = check_nonlocal_monotonicity(U, model, H, method="direct")
+            rep = check_nonlocal_monotonicity(U, model, H)
             assert rep.passed
+            assert rep.left == pytest.approx(dense_q(U, model, mat),
+                                             rel=1e-12)
+            assert rep.right == pytest.approx(
+                dense_q(polarize_multi(U, H), model, mat), rel=1e-12)
+
+    @pytest.mark.parametrize("dim,n", [(3, 17), (3, 33), (2, 65)])
+    @pytest.mark.parametrize("name,m", [("choquard", 1),
+                                        ("example_paper", 2)])
+    def test_sides_are_eval_total_bits(self, dim, n, name, m):
+        spec = make_grid(dim, n, 2.0)
+        model = models.by_name(name, m=m, dim=dim)
+        rng = np.random.default_rng(n)
+        U = MultiField([random_bump_field(spec, rng) for _ in range(m)])
+        family = admissible_half_spaces(spec)
+        H = family[rng.integers(len(family))]
+        rep = check_nonlocal_monotonicity(U, model, H)
+        assert rep.left == -eval_total(U, model).E3
+        assert rep.right == -eval_total(polarize_multi(U, H), model).E3
+
+    def test_no_dense_matrix(self):
+        # a 17^3 pairwise kernel matrix alone would take 193 MB
+        spec = make_grid(3, 17, 2.0)
+        model = models.choquard(m=1, dim=3)
+        U = MultiField([random_bump_field(spec, np.random.default_rng(1))])
+        H = HalfSpace((1, 0, 0), -0.5)
+        tracemalloc.start()
+        try:
+            rep = check_nonlocal_monotonicity(U, model, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 20 << 20
+
+    def test_cli_grid(self):
+        spec = make_grid(3, 33, 2.0)
+        model = models.choquard(m=1, dim=3)
+        U = MultiField([random_bump_field(spec, np.random.default_rng(2))])
+        rep = check_nonlocal_monotonicity(U, model, HalfSpace((0, 1, -1), 0.0))
+        assert rep.passed
 
     def test_fixed_point_exact(self):
         spec = make_grid(3, 9, 2.0)
