@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -363,6 +364,27 @@ class TestGoldenOutput:
             kept = [ln for ln in data.splitlines(keepends=True)
                     if not ln.startswith(b"#")]
             assert b"".join(kept) == text.encode(), name
+
+
+def test_greedy_symmetrize_pinned_bytes(tmp_path):
+    # A 2D greedy run, long enough that most candidates leave U unchanged:
+    # the SHA-256 of each output with its `#` lines dropped.  trace.csv
+    # holds the chosen half-space of every row, so any change to the picks,
+    # the scores or the accepted steps shows here.
+    cfg = write_config(tmp_path, "command = symmetrize\ndim = 2\nn = 17\n"
+                                 "m = 2\nmode = greedy\nmax_iter = 300\n")
+    out = tmp_path / "out"
+    assert main(["symmetrize", "--config", cfg, "--out", str(out)]) == 0
+    expected = {
+        "trace.csv":
+            "53cabccc00d7e410a5cc502628c8b3d84be713ffc05e18238b118126e77e0c2a",
+        "final.rfld":
+            "fba56a9657ca7db65e92db5eb9122eed7b65b653ab2db2a2b4d182490af4bee0",
+    }
+    for name, digest in expected.items():
+        kept = [ln for ln in (out / name).read_bytes().splitlines(keepends=True)
+                if not ln.startswith(b"#")]
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
 
 
 class TestWriters:
