@@ -75,6 +75,13 @@ def axis_sum(arrays) -> np.ndarray:
     return total
 
 
+# Largest accepted half-width L.  Up to it, the nonlocal weight h^(2N),
+# squared coordinates and squared bump widths stay far inside the float
+# range for N <= 3.  Above about 1e51 the Python-float powers of h and of
+# the bump widths overflow and raise.
+MAX_HALF_WIDTH = 1e30
+
+
 def make_grid(dim: int, points_per_axis: int, half_width: float) -> GridSpec:
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
@@ -82,6 +89,8 @@ def make_grid(dim: int, points_per_axis: int, half_width: float) -> GridSpec:
         raise ValueError("grid must have odd point count >= 3")
     if not half_width > 0:
         raise ValueError("half-width must be positive")
+    if not half_width <= MAX_HALF_WIDTH:
+        raise ValueError(f"half-width must be at most {MAX_HALF_WIDTH:g}")
     return GridSpec(dim, points_per_axis, float(half_width))
 
 

@@ -86,7 +86,7 @@ class _Block(NamedTuple):
     """Where the reflection pairs of a half-space sit in a field.
 
     Indexing a field with ``flip``, transposing it by ``perm`` and taking
-    ``window`` gives the block of pairs: m planes along the normal, which
+    ``window``, as ``view`` does, gives the block of pairs: m planes along the normal, which
     the reflection reverses, or an m x m square on the two normal axes,
     which it transposes.  ``flip`` and ``window`` are basic slices and
     ``perm`` an axis order, so the block is a view of the field and a
@@ -97,6 +97,10 @@ class _Block(NamedTuple):
     flip: tuple
     perm: tuple
     window: tuple
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The block of pairs in a, as a view of it."""
+        return a[self.flip].transpose(self.perm)[self.window]
 
 
 def _block(spec: GridSpec, H: HalfSpace) -> _Block:
@@ -131,8 +135,8 @@ def _polarize_into(src: np.ndarray, out: np.ndarray, block: _Block) -> None:
     out, an array of src's shape that does not overlap it."""
     np.copyto(out, src)
     m = block.m
-    u = src[block.flip].transpose(block.perm)[block.window]
-    dst = out[block.flip].transpose(block.perm)[block.window]
+    u = block.view(src)
+    dst = block.view(out)
     if len(block.window) == 1:
         # the first m // 2 planes lie outside H, the last m // 2 inside
         half = m // 2
@@ -144,6 +148,26 @@ def _polarize_into(src: np.ndarray, out: np.ndarray, block: _Block) -> None:
         mirror = u.swapaxes(0, 1)
         np.maximum(u, mirror, out=dst)
         np.copyto(dst, np.minimum(u, mirror), where=_strict_upper(m, u.ndim))
+
+
+def _moves(values, block: _Block) -> bool:
+    """Whether polarizing the component arrays ``values`` by the half-space
+    of ``block`` changes any value: in some component, a point outside H
+    holds more than its mirror image.  On the block views of
+    ``_polarize_into``, that is an entry of the first m // 2 planes above
+    its mirror, or a strict-upper entry above its transpose.  When it is
+    False, polarizing gives back every array, up to the sign of zeros."""
+    for src in values:
+        u = block.view(src)
+        if len(block.window) == 1:
+            half = block.m // 2
+            above = u[:half] > u[::-1][:half]
+        else:
+            above = u > u.swapaxes(0, 1)
+            above &= _strict_upper(block.m, u.ndim)
+        if above.any():
+            return True
+    return False
 
 
 def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
@@ -222,15 +246,23 @@ class TraceRow:
 
 @dataclasses.dataclass
 class ConvergenceTrace:
-    """Trace rows, final status, and two deterministic work counters:
-    ``candidates``, the half-spaces picked over all iterations, and
-    ``polarizations``, the polarizations of U made: candidates scored plus
-    candidates accepted.  The CLI's ``trace.csv`` holds the rows only."""
+    """Trace rows, final status, and three deterministic work counters:
+    ``candidates``, the half-spaces picked over all iterations;
+    ``polarizations``, the polarizations of U made, candidates scored plus
+    candidates accepted; and ``unchanged``, the candidates found to leave
+    U unchanged, whose objective is then U's own and not scored.
+
+    Each pick that is new for the current iterate is either scored or
+    unchanged, and every other pick reuses the value kept for it, so
+    ``candidates`` = (``polarizations`` - accepted) + ``unchanged`` + the
+    picks whose value was kept.  The CLI's ``trace.csv`` holds the rows
+    only."""
 
     rows: list
     status: str  # converged | max_iter_reached
     candidates: int = 0
     polarizations: int = 0
+    unchanged: int = 0
 
 
 def _rel_dists(U: MultiField, targets, target_norms, p: float) -> tuple:
@@ -324,11 +356,17 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
 
     The block geometry of every half-space (``_block``, a few basic indices)
     is built once per run, and non-negativity is checked once, by
-    ``schwarz`` on the targets.  Each candidate is then scored by
-    ``_polarized_objective`` in one field-sized buffer allocated per run,
-    through the same ``_polarize_into`` kernel as ``polarize`` and with the
-    bits of ``_objective``; no field is built per candidate.  The accepted
-    candidate is applied with ``polarize_multi``.
+    ``schwarz`` on the targets.  A half-space new to the current iterate
+    first gets the order test ``_moves`` on its block views: when no
+    component has a point outside H above its mirror, polarizing gives
+    back U (up to the sign of zeros, which ``|u - t|`` drops), so its
+    objective is the current one, bit for bit, and is stored unscored.
+    Most candidates of a long greedy run are such.  Every other candidate
+    is scored by ``_polarized_objective`` in one field-sized buffer
+    allocated per run, through the same ``_polarize_into`` kernel as
+    ``polarize`` and with the bits of ``_objective``; no field is built
+    per candidate.  The accepted candidate is applied with
+    ``polarize_multi``.
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
@@ -351,29 +389,34 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     obj = _objective(U, targets, p, scale)
     blocks = [_block(spec, H) for H in family]
     target_values = [t.values for t in targets]
+    values = [c.values for c in U.components]
     buf = np.empty(spec.shape)
     scores = {}  # family index -> objective of U polarized by that half-space
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
             picks = [(it - 1) % len(family)]
         elif schedule.mode == "random":
-            picks = [rng.integers(len(family))]
+            picks = [int(rng.integers(len(family)))]
         else:  # greedy
             picks = rng.choice(len(family),
                                size=min(schedule.greedy_candidates, len(family)),
-                               replace=False)
+                               replace=False).tolist()
         trace.candidates += len(picks)
         H, best = None, np.inf
         for k in picks:
             if k not in scores:
-                scores[k] = _polarized_objective(
-                    [c.values for c in U.components], target_values, p,
-                    scale, blocks[k], buf)
-                trace.polarizations += 1
+                if _moves(values, blocks[k]):
+                    scores[k] = _polarized_objective(
+                        values, target_values, p, scale, blocks[k], buf)
+                    trace.polarizations += 1
+                else:
+                    scores[k] = obj
+                    trace.unchanged += 1
             if scores[k] < best:
                 H, best = family[k], scores[k]
         if best < obj:
             U, obj = polarize_multi(U, H), best
+            values = [c.values for c in U.components]
             trace.polarizations += 1
             scores.clear()
             dists = _rel_dists(U, targets, target_norms, p)

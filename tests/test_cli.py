@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarmin.cli import (COMMANDS, ConfigError, main, parse_config, run,
@@ -513,6 +513,17 @@ class TestErrorsExitTwo:
             f"has length {m}"]
         assert not (out / "final.rfld").exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_huge_half_width(self, tmp_path, capsys, command):
+        # h**dim and the squared bump widths would overflow as Python floats
+        cfg = write_config(tmp_path,
+                           f"command = {command}\ndim = 2\nn = 5\n"
+                           "trials = 1\nhalf_width = 1e160\n")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: half-width must be at most 1e+30"]
+
     def test_minimize_constraint_length(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
                            "command = minimize\ndim = 1\nn = 9\n"
@@ -673,6 +684,9 @@ class TestFuzzMain:
     totals of a minimize trace never increase."""
 
     @given(st.sampled_from(COMMANDS), fuzz_config(), fuzz_field())
+    @example("verify", "dim = 1\nn = 3\nm = 1\nmax_iter = 1\ntrials = 1\n"
+                       "max_steps = 1\nk_pol = 0\n"
+                       "half_width = 5.60774542831025e+154\n", "")
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_config(self, command, config_text, field_text):
         assert_exit_contract(*run_main_quietly(command, config_text,

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin.grid import (FieldFormatError, MultiField, ScalarField,
-                           axis_derivative, axis_derivative_adjoint, axis_sum,
+from polarmin.grid import (MAX_HALF_WIDTH, FieldFormatError, MultiField,
+                           ScalarField, axis_derivative,
+                           axis_derivative_adjoint, axis_sum,
                            gradient_components, gradient_magnitude, lp_norm,
                            make_grid, read_field, write_field)
 
@@ -42,6 +43,14 @@ class TestMakeGrid:
             make_grid(4, 5, 1.0)
         with pytest.raises(ValueError):
             make_grid(1, 5, 0.0)
+
+    def test_half_width_bound(self):
+        # the largest box keeps the nonlocal weight h^(2N) finite in 3D
+        spec = make_grid(3, 3, MAX_HALF_WIDTH)
+        assert math.isfinite(spec.cell_volume**2)
+        for L in (math.nextafter(MAX_HALF_WIDTH, math.inf), 1e160, math.inf):
+            with pytest.raises(ValueError, match="at most"):
+                make_grid(1, 3, L)
 
     def test_origin_is_grid_point(self):
         spec = make_grid(2, 9, 3.0)

@@ -359,6 +359,116 @@ class TestIterateOracle:
         # scoring every pick on every iteration would break the bound
         assert picks * schedule.max_iter > bound
 
+    def test_counters_add_up(self):
+        # replay the draws: each pick new to its iterate is either scored
+        # or, when polarizing by it gives back U, counted as unchanged
+        spec = make_grid(2, 17, 2.0)
+        family = admissible_half_spaces(spec)
+        rng = np.random.default_rng(1)
+        U0 = MultiField([random_bump_field(spec, rng) for _ in range(2)])
+        schedule = PolarizationSchedule(mode="greedy", seed=3, max_iter=300,
+                                        tol=1e-12)
+        _, trace = iterate_polarizations(U0, schedule)
+        _, rows_ref, _, accepted = oracle_iterate(U0, schedule)
+        assert trace.rows == rows_ref
+        draws = np.random.default_rng(schedule.seed)
+        U, seen, scored, unchanged = U0, set(), 0, 0
+        for row in trace.rows[1:]:
+            for k in draws.choice(len(family), size=schedule.greedy_candidates,
+                                  replace=False).tolist():
+                if k in seen:
+                    continue
+                seen.add(k)
+                if all(np.array_equal(polarize(c, family[k]).values, c.values)
+                       for c in U.components):
+                    unchanged += 1
+                else:
+                    scored += 1
+            if row.iteration in accepted:
+                U, seen = polarize_multi(U, row.half_space), set()
+        assert trace.candidates == schedule.greedy_candidates * schedule.max_iter
+        assert trace.unchanged == unchanged > scored
+        assert trace.polarizations == scored + len(accepted)
+
+    def test_signed_zeros_bit_identical(self):
+        # ties of +0.0 and -0.0 leave U unchanged; the driver's values,
+        # zero signs included, are the oracle's
+        spec = make_grid(2, 17, 2.0)
+        rng = np.random.default_rng(4)
+        vals = np.where(rng.random(spec.shape) < 0.5, 0.0, -0.0)
+        vals[rng.random(spec.shape) < 0.2] = 1.0
+        U0 = MultiField([ScalarField(spec, vals)])
+        schedule = PolarizationSchedule(mode="greedy", seed=2, max_iter=200,
+                                        tol=1e-12)
+        U, trace = iterate_polarizations(U0, schedule)
+        U_ref, rows_ref, status_ref, _ = oracle_iterate(U0, schedule)
+        assert (trace.rows, trace.status) == (rows_ref, status_ref)
+        assert trace.unchanged > 0
+        assert U.components[0].values.tobytes() == \
+            U_ref.components[0].values.tobytes()
+
+
+class TestMoves:
+    """``_moves`` finds a half-space that leaves the fields unchanged
+    exactly when polarizing by it gives back every component's values."""
+
+    @staticmethod
+    def outcomes(fields):
+        """The (moves, components changed) pair of every admissible
+        half-space, after checking that the two agree."""
+        spec = fields[0].spec
+        out = []
+        for H in admissible_half_spaces(spec):
+            changed = sum(not np.array_equal(polarize(f, H).values, f.values)
+                          for f in fields)
+            moves = rearrange._moves([f.values for f in fields],
+                                     _block(spec, H))
+            assert moves == (changed > 0), H
+            out.append((moves, changed))
+        return out
+
+    @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
+                                      make_grid(2, 17, 2.0), SPEC_3D],
+                             ids=["1d-n9", "2d-n17", "3d-n7"])
+    @pytest.mark.parametrize("values", ["random", "tied", "schwarz"])
+    def test_agrees_with_polarize(self, spec, values):
+        rng = np.random.default_rng(7)
+        if values == "random":
+            vals = rng.random(spec.shape)
+        else:
+            vals = rng.integers(0, 3, spec.shape).astype(float)
+        field = ScalarField(spec, vals)
+        if values == "schwarz":
+            field = schwarz(field)
+        moves = [m for m, _ in self.outcomes([field])]
+        # beyond the box every field is unchanged; a Schwarz field is left
+        # unchanged by most half-spaces, the others are moved by some
+        assert not all(moves)
+        if values == "schwarz":
+            assert sum(moves) < len(moves) / 4
+        else:
+            assert any(moves)
+
+    def test_signed_zeros_do_not_move(self):
+        # +0.0 against -0.0 is a tie, and polarize gives back equal values
+        vals = np.array([0.0, -0.0, 2.0, -0.0, 0.0, 0.0, 1.0, 0.0, -0.0])
+        self.outcomes([ScalarField(make_grid(1, 9, 2.0), vals)])
+        zeros = np.where(np.random.default_rng(2).random((17, 17)) < 0.5,
+                         0.0, -0.0)
+        field = ScalarField(make_grid(2, 17, 2.0), zeros)
+        assert {m for m, _ in self.outcomes([field])} == {False}
+
+    @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
+                                      make_grid(2, 17, 2.0), SPEC_3D],
+                             ids=["1d-n9", "2d-n17", "3d-n7"])
+    def test_two_components_one_moving(self, spec):
+        rng = np.random.default_rng(5)
+        still = schwarz(ScalarField(spec, rng.random(spec.shape)))
+        moving = ScalarField(spec, rng.random(spec.shape))
+        for fields in ([still, moving], [moving, still]):
+            changed = {c for _, c in self.outcomes(fields)}
+            assert 1 in changed
+
 
 class TestScoring:
     @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
