@@ -12,7 +12,7 @@ from polarmin import rearrange
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
                                 PolarizationSchedule, TraceRow, _block,
-                                _objective, _objective_scale,
+                                _moves, _objective, _objective_scale,
                                 _polarized_objective, _rel_dists,
                                 admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
@@ -421,8 +421,7 @@ class TestMoves:
         for H in admissible_half_spaces(spec):
             changed = sum(not np.array_equal(polarize(f, H).values, f.values)
                           for f in fields)
-            moves = rearrange._moves([f.values for f in fields],
-                                     _block(spec, H))
+            moves = _moves([f.values for f in fields], _block(spec, H))
             assert moves == (changed > 0), H
             out.append((moves, changed))
         return out
