@@ -21,8 +21,8 @@ import types
 
 import numpy as np
 
-from . import models
-from .grid import MultiField, make_grid, read_field, write_field
+from . import models, rearrange
+from .grid import MAX_POINTS, MultiField, make_grid, read_field, write_field
 from .minimize import (ConstraintVector, MinimizeConfig, dilation_scan,
                        minimize, project_constraints, symmetry_report)
 from .rearrange import PolarizationSchedule, iterate_polarizations
@@ -32,9 +32,6 @@ from .verify import (SuiteLine, check_polya_szego, random_bump_field,
 
 class ConfigError(ValueError):
     pass
-
-
-COMMANDS = ("symmetrize", "verify", "minimize", "polya-szego")
 
 
 def _reals(text: str) -> tuple:
@@ -117,8 +114,11 @@ def _validate(values: dict, seen: dict) -> None:
         bad("model", f"unknown model; choices: {sorted(models.CATALOGUE)}")
     if values["m"] < 1:
         bad("m", "m must be >= 1")
-    if values["mode"] not in ("random", "sweep", "greedy"):
-        bad("mode", "mode must be random, sweep, or greedy")
+    if values["m"] * values["n"] ** values["dim"] > MAX_POINTS:
+        bad("n", f"m * n^dim must be at most {MAX_POINTS}")
+    if values["mode"] not in rearrange.SCHEDULE_MODES:
+        *first, last = rearrange.SCHEDULE_MODES
+        bad("mode", f"mode must be {', '.join(first)}, or {last}")
     if values["max_iter"] < 1:
         bad("max_iter", "max_iter must be >= 1")
     if values["tol"] <= 0:
@@ -270,6 +270,7 @@ _RUNNERS = {
     "minimize": _run_minimize,
     "polya-szego": _run_polya_szego,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg: types.SimpleNamespace, command: str | None = None,

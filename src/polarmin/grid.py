@@ -51,12 +51,6 @@ class GridSpec:
         return -L + self.h * np.arange(n)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Point coordinates, shape (*grid_shape, dim)."""
-        mesh = np.meshgrid(*([self.axis_coords] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    @cached_property
     def radii(self) -> np.ndarray:
         """Distance of each grid point to the origin."""
         return np.sqrt(axis_sum([self.axis_coords**2] * self.dim))
@@ -81,6 +75,9 @@ def axis_sum(arrays) -> np.ndarray:
 # the bump widths overflow and raise.
 MAX_HALF_WIDTH = 1e30
 
+# Largest accepted n^N of a grid and m * n^N of a run: 3D n <= 127.
+MAX_POINTS = 2**21
+
 
 def make_grid(dim: int, points_per_axis: int, half_width: float) -> GridSpec:
     if dim not in (1, 2, 3):
@@ -91,6 +88,8 @@ def make_grid(dim: int, points_per_axis: int, half_width: float) -> GridSpec:
         raise ValueError("half-width must be positive")
     if not half_width <= MAX_HALF_WIDTH:
         raise ValueError(f"half-width must be at most {MAX_HALF_WIDTH:g}")
+    if points_per_axis**dim > MAX_POINTS:
+        raise ValueError(f"grid must have at most {MAX_POINTS} points")
     return GridSpec(dim, points_per_axis, float(half_width))
 
 
@@ -247,6 +246,8 @@ def read_field(path) -> MultiField:
         if m < 1:
             raise ValueError("m must be >= 1")
         spec = make_grid(dim, n, half_width)
+        if m * spec.num_points > MAX_POINTS:
+            raise ValueError(f"m * n^N must be at most {MAX_POINTS}")
     except ValueError as err:
         raise FieldFormatError(f"line 2: {err}") from None
     expected = m * spec.num_points

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, MultiField, ScalarField, lp_norm
+from .grid import GridSpec, MultiField, ScalarField, _lp_norm_sorted, lp_norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,8 +177,8 @@ def polarize(field: ScalarField, H: HalfSpace) -> ScalarField:
     x and the smaller to x_H.  Points on dH, and points of H whose image
     leaves the box, keep their value; since 0 is in H, every point outside
     H has its image in the box.  The exchange runs through the block views
-    of ``_block`` in ``_polarize_into``, the one implementation that
-    ``iterate_polarizations`` also scores its candidates with.
+    of ``_block`` in ``_polarize_into``, the one implementation, through
+    which ``iterate_polarizations`` also scores and applies its candidates.
     """
     if np.any(field.values < 0):
         raise ValueError("polarization requires non-negative fields")
@@ -191,17 +191,20 @@ def polarize_multi(U: MultiField, H: HalfSpace) -> MultiField:
     return MultiField([polarize(c, H) for c in U.components])
 
 
-@lru_cache(maxsize=None)
 def canonical_order(spec: GridSpec) -> np.ndarray:
     """Flat indices sorted by (distance to origin, lexicographic coords).
 
     Radii are compared through the integer squared index offsets, so ties
-    are exact.
-    """
-    c = (spec.points_per_axis - 1) // 2
-    idx = np.indices(spec.shape).reshape(spec.dim, -1) - c
+    are exact; the order depends only on the grid's shape, and is cached
+    once per shape."""
+    return _shape_order(spec.dim, spec.points_per_axis)
+
+
+@lru_cache(maxsize=None)
+def _shape_order(dim: int, n: int) -> np.ndarray:
+    idx = np.indices((n,) * dim).reshape(dim, -1) - (n - 1) // 2
     r2 = np.sum(idx**2, axis=0)
-    keys = tuple(idx[k] for k in reversed(range(spec.dim))) + (r2,)
+    keys = tuple(idx[k] for k in reversed(range(dim))) + (r2,)
     return np.lexsort(keys)
 
 
@@ -221,9 +224,12 @@ def schwarz_multi(U: MultiField) -> MultiField:
     return MultiField([schwarz(c) for c in U.components])
 
 
+SCHEDULE_MODES = ("random", "sweep", "greedy")
+
+
 @dataclasses.dataclass
 class PolarizationSchedule:
-    mode: str = "greedy"  # random | sweep | greedy
+    mode: str = "greedy"  # one of SCHEDULE_MODES
     seed: int = 0
     max_iter: int = 2000
     tol: float = 1e-3
@@ -231,7 +237,7 @@ class PolarizationSchedule:
     greedy_candidates: int = 16
 
     def __post_init__(self):
-        if self.mode not in ("random", "sweep", "greedy"):
+        if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("max_iter >= 1 and tol > 0 required")
@@ -265,14 +271,15 @@ class ConvergenceTrace:
     unchanged: int = 0
 
 
-def _rel_dists(U: MultiField, targets, target_norms, p: float) -> tuple:
+def _rel_dists(values, targets, norms, p: float, hN: float) -> tuple:
+    """``lp_norm(u - t) / lp_norm(t)`` per component, 0 where t is 0."""
     out = []
-    for comp, tgt, nrm in zip(U.components, targets, target_norms):
+    for u, t, nrm in zip(values, targets, norms):
         if nrm == 0.0:
             out.append(0.0)
             continue
-        diff = ScalarField(comp.spec, np.abs(comp.values - tgt.values))
-        out.append(lp_norm(diff, p) / nrm)
+        diff = np.sort(np.abs(u - t), axis=None)
+        out.append(_lp_norm_sorted(diff, p, hN) / nrm)
     return tuple(out)
 
 
@@ -280,43 +287,34 @@ def _objective_scale(targets, p: float) -> float | None:
     """One scale for every candidate objective of an iterate_polarizations
     run, or None when the plain sum cannot overflow.
 
-    Every iterate is a rearrangement of the targets' values, all
+    Every iterate is a rearrangement of the target arrays' values, all
     non-negative, so each |u - t| is at most max t.  Only fields where
     size * (2 max t)^p overflows (max t above about 1e153 at p=2) are
     scaled, by max t; the others keep the plain formula and its bits.
     """
-    top = max(float(t.values.max()) for t in targets)
-    size = sum(t.values.size for t in targets)
+    top = max(float(t.max()) for t in targets)
+    size = sum(t.size for t in targets)
     with np.errstate(over="ignore"):
         bound = size * np.float64(2.0 * top) ** p
     return None if np.isfinite(bound) else top
 
 
-def _objective(U: MultiField, targets, p: float,
-               scale: float | None = None) -> float:
-    """sum_i sum |u_i - t_i|^p, divided by scale^p when scale is given."""
-    if scale is None:
-        return sum(
-            float(np.sum(np.abs(c.values - t.values) ** p))
-            for c, t in zip(U.components, targets))
-    return sum(
-        float(np.sum((np.abs(c.values - t.values) / scale) ** p))
-        for c, t in zip(U.components, targets))
-
-
 def _polarized_objective(values, targets, p: float, scale: float | None,
-                         block: _Block, buf: np.ndarray) -> float:
-    """``_objective`` of the component arrays ``values`` polarized by the
-    half-space of ``block``, against the target arrays, worked out in buf.
+                         block: _Block | None, buf: np.ndarray) -> float:
+    """sum_i sum |u_i - t_i|^p, divided by scale^p when scale is given, of
+    the component arrays ``values`` polarized by the half-space of
+    ``block`` (as they are when block is None) against the target arrays.
 
-    Same bits as ``_objective(polarize_multi(U, H), targets, p, scale)``:
-    the same elementwise formula over the whole contiguous array and the
-    same ``np.sum``, with every step written into buf and no field built.
-    values must be non-negative and finite.
+    Every step is written into buf, so the start value and every candidate
+    of a run get the same elementwise formula over the whole contiguous
+    array and the same ``np.sum``.  values must be non-negative and finite.
     """
     total = 0
     for u, t in zip(values, targets):
-        _polarize_into(u, buf, block)
+        if block is None:
+            np.copyto(buf, u)
+        else:
+            _polarize_into(u, buf, block)
         np.subtract(buf, t, out=buf)
         np.abs(buf, out=buf)
         if scale is not None:
@@ -354,43 +352,40 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     one float per half-space of the family.  Iterations at a fixed point
     still run and are traced, but cost only the random draws and lookups.
 
-    The block geometry of every half-space (``_block``, a few basic indices)
-    is built once per run, and non-negativity is checked once, by
-    ``schwarz`` on the targets.  A half-space new to the current iterate
-    first gets the order test ``_moves`` on its block views: when no
-    component has a point outside H above its mirror, polarizing gives
-    back U (up to the sign of zeros, which ``|u - t|`` drops), so its
-    objective is the current one, bit for bit, and is stored unscored.
-    Most candidates of a long greedy run are such.  Every other candidate
-    is scored by ``_polarized_objective`` in one field-sized buffer
-    allocated per run, through the same ``_polarize_into`` kernel as
-    ``polarize`` and with the bits of ``_objective``; no field is built
-    per candidate.  The accepted candidate is applied with
-    ``polarize_multi``.
+    U is held as its component arrays, from a copy of U0's to the one
+    MultiField built, the returned one.  Each half-space's ``_block`` is
+    built once per run, and non-negativity is checked once, by ``schwarz``
+    on the targets.  A half-space new to the current iterate first gets
+    the order test ``_moves``: when no point outside H holds more than its
+    mirror, polarizing gives back U (up to the sign of zeros, which
+    ``|u - t|`` drops), so its objective is the current one, bit for bit,
+    and is stored unscored, as for most candidates of a long greedy run.
+    Other candidates, and U at the start, are scored by
+    ``_polarized_objective`` in one buffer; every polarization runs
+    through ``_polarize_into``, and an accepted one writes fresh arrays.
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
     rng = np.random.default_rng(schedule.seed)
-    p = schedule.p
+    p, hN = schedule.p, spec.cell_volume
 
     # schwarz rejects negative fields, and polarization only exchanges
     # values, so every iterate is non-negative and finite from here on
     targets = [schwarz(c) for c in U0.components]
     target_norms = [lp_norm(t, p) for t in targets]
+    targets = [t.values for t in targets]
 
-    U = U0.copy()
-    dists = _rel_dists(U, targets, target_norms, p)
+    values = [c.values.copy() for c in U0.components]
+    dists = _rel_dists(values, targets, target_norms, p, hN)
     trace = ConvergenceTrace([TraceRow(0, None, dists)], "max_iter_reached")
     if max(dists) <= schedule.tol:
         trace.status = "converged"
-        return U, trace
+        return MultiField([ScalarField(spec, v) for v in values]), trace
 
     scale = _objective_scale(targets, p)
-    obj = _objective(U, targets, p, scale)
-    blocks = [_block(spec, H) for H in family]
-    target_values = [t.values for t in targets]
-    values = [c.values for c in U.components]
     buf = np.empty(spec.shape)
+    obj = _polarized_objective(values, targets, p, scale, None, buf)
+    blocks = [_block(spec, H) for H in family]
     scores = {}  # family index -> objective of U polarized by that half-space
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
@@ -402,29 +397,32 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
                                size=min(schedule.greedy_candidates, len(family)),
                                replace=False).tolist()
         trace.candidates += len(picks)
-        H, best = None, np.inf
+        best_k, best = None, np.inf
         for k in picks:
             if k not in scores:
                 if _moves(values, blocks[k]):
                     scores[k] = _polarized_objective(
-                        values, target_values, p, scale, blocks[k], buf)
+                        values, targets, p, scale, blocks[k], buf)
                     trace.polarizations += 1
                 else:
                     scores[k] = obj
                     trace.unchanged += 1
             if scores[k] < best:
-                H, best = family[k], scores[k]
+                best_k, best = k, scores[k]
         if best < obj:
-            U, obj = polarize_multi(U, H), best
-            values = [c.values for c in U.components]
+            polarized = [np.empty(spec.shape) for _ in values]
+            for u, out in zip(values, polarized):
+                _polarize_into(u, out, blocks[best_k])
+            values, obj = polarized, best
             trace.polarizations += 1
             scores.clear()
-            dists = _rel_dists(U, targets, target_norms, p)
+            dists = _rel_dists(values, targets, target_norms, p, hN)
+        H = None if best_k is None else family[best_k]
         trace.rows.append(TraceRow(it, H, dists))
         if max(dists) <= schedule.tol:
             trace.status = "converged"
             break
-    return U, trace
+    return MultiField([ScalarField(spec, v) for v in values]), trace
 
 
 def shift_field(values: np.ndarray, steps) -> np.ndarray:
@@ -455,10 +453,9 @@ def symmetry_deficit(field: ScalarField, p: float):
     if total == 0.0:
         raise ValueError("deficit undefined for zero field")
     spec = field.spec
-    centroid = np.array([
-        float(np.sum(spec.coords[..., k] * field.values)) / total
-        for k in range(spec.dim)
-    ])
+    centroid = np.array([float(np.sum(
+        spec.axis_coords.reshape((-1,) + (1,) * (spec.dim - 1 - k))
+        * field.values)) / total for k in range(spec.dim)])
     shift = -np.rint(centroid / spec.h).astype(int)
     centered = ScalarField(spec, shift_field(field.values, -shift))
     target = schwarz(centered)

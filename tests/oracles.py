@@ -1,20 +1,31 @@
-"""Dense pairwise oracle for the nonlocal term.
+"""Plain-formula oracles for the tests.
 
-Built from the grid's point coordinates, independently of the sampled
-kernel and the FFT route of polarmin.energy.  Memory grows as P^2 for P
-grid points: about 190 MB at 17^3.
+The dense pairwise oracle for the nonlocal term is built from the grid's
+point coordinates, independently of the sampled kernel and the FFT route
+of polarmin.energy; its memory grows as P^2 for P grid points: about
+190 MB at 17^3.  The polarization driver's objective and distances, and
+the symmetry deficit, are written on whole fields, as the library wrote
+them before it worked on arrays in place.
 """
 
 import numpy as np
 
 from polarmin.energy import origin_value
+from polarmin.grid import ScalarField, lp_norm
+from polarmin.rearrange import schwarz, shift_field
+
+
+def coords(spec):
+    """Point coordinates of the grid, shape (*spec.shape, dim)."""
+    mesh = np.meshgrid(*([spec.axis_coords] * spec.dim), indexing="ij")
+    return np.stack(mesh, axis=-1)
 
 
 def dense_kernel_matrix(V, spec):
     """Pairwise matrix V(|x - y|) over all grid points, with origin_value
     on the diagonal; distances one block of rows and one axis at a time."""
     P = spec.num_points
-    x = spec.coords.reshape(-1, spec.dim)
+    x = coords(spec).reshape(-1, spec.dim)
     origin = origin_value(V, spec)
     mat = np.empty((P, P))
     rows = max(1, 2**20 // P)  # about 2^20 entries per temporary
@@ -41,3 +52,44 @@ def dense_q(U, model, mat):
     dense_kernel_matrix; E3 is -Q."""
     g = np.asarray(model.G.g([c.values for c in U.components])).ravel()
     return float(g @ (mat @ g)) * U.spec.cell_volume**2
+
+
+def objective(U, targets, p, scale=None):
+    """sum_i sum |u_i - t_i|^p over the components of U and the target
+    fields, divided by scale^p when scale is given."""
+    if scale is None:
+        return sum(
+            float(np.sum(np.abs(c.values - t.values) ** p))
+            for c, t in zip(U.components, targets))
+    return sum(
+        float(np.sum((np.abs(c.values - t.values) / scale) ** p))
+        for c, t in zip(U.components, targets))
+
+
+def rel_dists(U, targets, target_norms, p):
+    """lp_norm of each component's distance to its target field, relative
+    to the target's norm (0 where that norm is 0)."""
+    out = []
+    for comp, tgt, nrm in zip(U.components, targets, target_norms):
+        if nrm == 0.0:
+            out.append(0.0)
+            continue
+        diff = ScalarField(comp.spec, np.abs(comp.values - tgt.values))
+        out.append(lp_norm(diff, p) / nrm)
+    return tuple(out)
+
+
+def symmetry_deficit(field, p):
+    """rearrange.symmetry_deficit with the centroid summed over the
+    stacked coordinates array."""
+    total = float(np.sum(field.values))
+    spec = field.spec
+    x = coords(spec)
+    centroid = np.array([float(np.sum(x[..., k] * field.values)) / total
+                         for k in range(spec.dim)])
+    shift = -np.rint(centroid / spec.h).astype(int)
+    centered = ScalarField(spec, shift_field(field.values, -shift))
+    target = schwarz(centered)
+    diff = ScalarField(spec, np.abs(centered.values - target.values))
+    deficit = lp_norm(diff, p) / lp_norm(field, p)
+    return deficit, tuple(int(s) for s in shift)

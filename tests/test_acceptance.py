@@ -16,14 +16,14 @@ from polarmin.energy import (IntegrandJ, check_assumptions,
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.minimize import (ConstraintVector, MinimizeConfig,
                                dilation_scan, minimize, project_constraints)
-from polarmin.rearrange import (PolarizationSchedule, _objective,
+from polarmin.rearrange import (PolarizationSchedule,
                                 admissible_half_spaces, iterate_polarizations,
                                 polarize, polarize_multi, schwarz,
                                 schwarz_multi)
 from polarmin.verify import (bump_params, check_nonlocal_monotonicity,
                              check_polya_szego, eval_bumps, random_bump_field)
 
-from oracles import dense_kernel_matrix, dense_q
+from oracles import coords, dense_kernel_matrix, dense_q, objective
 
 
 def report(name, ok, detail):
@@ -87,7 +87,7 @@ def lattice_gaussian(spec, rng):
                           size=spec.dim) * h
     width = rng.uniform(L / 10, L / 8)
     amp = rng.uniform(0.1, 2.0)
-    d2 = np.sum((spec.coords - center) ** 2, axis=-1)
+    d2 = np.sum((coords(spec) - center) ** 2, axis=-1)
     return ScalarField(spec, amp * np.exp(-d2 / (2.0 * width**2)))
 
 
@@ -116,9 +116,9 @@ def test_iterated_polarization_convergence():
         U, _, mono, final = run(U0)
         monotone &= mono
         targets = schwarz_multi(U0).components
-        obj = _objective(U, targets, schedule.p)
+        obj = objective(U, targets, schedule.p)
         improvable += sum(
-            _objective(polarize_multi(U, H), targets, schedule.p) < obj
+            objective(polarize_multi(U, H), targets, schedule.p) < obj
             for H in family)
         floors.append(final)
 

@@ -483,6 +483,8 @@ class TestErrorsExitTwo:
         "RFLD 1\n1 1 4 2.0\n",        # even point count
         "RFLD 1\n4 1 5 2.0\n",        # dim out of range
         "RFLD 1\n1 0 5 2.0\n",        # no component
+        "RFLD 1\n3 1 100001 2.0\n",   # too many grid points
+        "RFLD 1\n1 500000 5 2.0\n",   # too many values
         "RFLD 1\n1 1 5 2.0\n0 1 2\n",  # too few values
     ])
     def test_malformed_field_file(self, tmp_path, capsys, text):
@@ -523,6 +525,18 @@ class TestErrorsExitTwo:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: half-width must be at most 1e+30"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("m,n", [(1, 100001), (2, 103)])
+    def test_too_many_grid_values(self, tmp_path, capsys, command, m, n):
+        # m * n^3 above grid.MAX_POINTS; 100001^3 values would need 7 PiB
+        cfg = write_config(tmp_path,
+                           f"command = {command}\ndim = 3\nn = {n}\n"
+                           f"m = {m}\ntrials = 1\n")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: key 'n' at line 3: m * n^dim must be at most 2097152"]
 
     def test_minimize_constraint_length(self, tmp_path, capsys):
         cfg = write_config(tmp_path,

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin.grid import (MAX_HALF_WIDTH, FieldFormatError, MultiField,
-                           ScalarField, axis_derivative,
+from polarmin.grid import (MAX_HALF_WIDTH, MAX_POINTS, FieldFormatError,
+                           MultiField, ScalarField, axis_derivative,
                            axis_derivative_adjoint, axis_sum,
                            gradient_components, gradient_magnitude, lp_norm,
                            make_grid, read_field, write_field)
+
+from oracles import coords
 
 
 def field_1d(values, half_width=2.0):
@@ -52,6 +54,16 @@ class TestMakeGrid:
             with pytest.raises(ValueError, match="at most"):
                 make_grid(1, 3, L)
 
+    def test_point_count_bound(self):
+        # the largest odd grids under the bound are accepted, the next
+        # odd ones rejected before any array is allocated
+        for dim, n in ((1, MAX_POINTS - 1), (2, 1447), (3, 127)):
+            assert make_grid(dim, n, 1.0).num_points <= MAX_POINTS
+            with pytest.raises(ValueError, match="at most 2097152 points"):
+                make_grid(dim, n + 2, 1.0)
+        with pytest.raises(ValueError, match="at most"):
+            make_grid(3, 100001, 1.0)
+
     def test_origin_is_grid_point(self):
         spec = make_grid(2, 9, 3.0)
         assert 0.0 in spec.axis_coords
@@ -71,7 +83,7 @@ class TestMakeGrid:
     def test_radii_bits_of_stacked_sum(self, dim, n, L):
         spec = make_grid(dim, n, L)
         assert np.array_equal(spec.radii,
-                              np.sqrt(np.sum(spec.coords**2, axis=-1)))
+                              np.sqrt(np.sum(coords(spec)**2, axis=-1)))
 
 
 class TestLpNorm:
@@ -216,6 +228,16 @@ class TestFieldFile:
         path.write_text("RFLD 1\n1 1 5 2.0\n0\n1\n2\n3\n")
         with pytest.raises(FieldFormatError,
                            match="expected 5 values, got 4"):
+            read_field(path)
+
+    @pytest.mark.parametrize("header,match", [
+        ("3 1 100001 2.0", "grid must have at most 2097152 points"),
+        ("1 2 2097151 2.0", "m \\* n\\^N must be at most 2097152"),
+    ])
+    def test_header_size_bound(self, tmp_path, header, match):
+        path = tmp_path / "u.rfld"
+        path.write_text(f"RFLD 1\n{header}\n0\n")
+        with pytest.raises(FieldFormatError, match=f"^line 2: {match}$"):
             read_field(path)
 
     def test_bad_token_reports_line(self, tmp_path):

@@ -10,15 +10,16 @@ from hypothesis.extra.numpy import arrays
 
 from polarmin import rearrange
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
-from polarmin.rearrange import (ConvergenceTrace, HalfSpace,
-                                PolarizationSchedule, TraceRow, _block,
-                                _moves, _objective, _objective_scale,
-                                _polarized_objective, _rel_dists,
-                                admissible_half_spaces,
+from polarmin.rearrange import (HalfSpace, PolarizationSchedule, TraceRow,
+                                _block, _moves, _objective_scale,
+                                _polarized_objective, admissible_half_spaces,
                                 canonical_order, iterate_polarizations,
                                 polarize, polarize_multi, schwarz, schwarz_multi,
                                 symmetry_deficit)
 from polarmin.verify import random_bump_field
+
+import oracles
+from oracles import objective, rel_dists
 
 SPEC_1D = make_grid(1, 5, 2.0)
 SPEC_2D = make_grid(2, 9, 2.0)
@@ -74,20 +75,20 @@ def oracle_iterate(U0, schedule):
     targets = [schwarz(c) for c in U0.components]
     target_norms = [lp_norm(t, p) for t in targets]
     U = U0.copy()
-    rows = [TraceRow(0, None, _rel_dists(U, targets, target_norms, p))]
+    rows = [TraceRow(0, None, rel_dists(U, targets, target_norms, p))]
     accepted = []
     if max(rows[0].rel_dist) <= schedule.tol:
         return U, rows, "converged", accepted
-    obj = _objective(U, targets, p)
+    obj = objective(U, targets, p)
     for it in range(1, schedule.max_iter + 1):
         if schedule.mode == "sweep":
             H = family[(it - 1) % len(family)]
             cand = polarize_multi(U, H)
-            cand_obj = _objective(cand, targets, p)
+            cand_obj = objective(cand, targets, p)
         elif schedule.mode == "random":
             H = family[rng.integers(len(family))]
             cand = polarize_multi(U, H)
-            cand_obj = _objective(cand, targets, p)
+            cand_obj = objective(cand, targets, p)
         else:
             picks = rng.choice(len(family),
                                size=min(schedule.greedy_candidates, len(family)),
@@ -95,13 +96,13 @@ def oracle_iterate(U0, schedule):
             H, cand, cand_obj = None, None, np.inf
             for k in picks:
                 trial = polarize_multi(U, family[k])
-                trial_obj = _objective(trial, targets, p)
+                trial_obj = objective(trial, targets, p)
                 if trial_obj < cand_obj:
                     H, cand, cand_obj = family[k], trial, trial_obj
         if cand_obj < obj:
             U, obj = cand, cand_obj
             accepted.append(it)
-        rows.append(TraceRow(it, H, _rel_dists(U, targets, target_norms, p)))
+        rows.append(TraceRow(it, H, rel_dists(U, targets, target_norms, p)))
         if max(rows[-1].rel_dist) <= schedule.tol:
             return U, rows, "converged", accepted
     return U, rows, "max_iter_reached", accepted
@@ -273,6 +274,13 @@ class TestSchwarz:
         us = schwarz(ScalarField(SPEC_2D, vals)).values.ravel()
         ordered = us[canonical_order(SPEC_2D)]
         assert np.all(np.diff(ordered) <= 0.0)
+
+    def test_order_cached_once_per_grid_shape(self):
+        rearrange._shape_order.cache_clear()
+        orders = [canonical_order(make_grid(2, 65, L))
+                  for L in np.linspace(0.5, 25.0, 50)]
+        assert rearrange._shape_order.cache_info().currsize == 1
+        assert all(order is orders[0] for order in orders)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -481,18 +489,22 @@ class TestScoring:
         U = MultiField([ScalarField(spec, magnitude * rng.random(spec.shape))
                         for _ in range(m)])
         before = [c.values.copy() for c in U.components]
+        values = [c.values for c in U.components]
         buf = np.empty(spec.shape)
         for p in (1.0, 2.0, 3.5):
             targets = [schwarz(c) for c in U.components]
-            scale = _objective_scale(targets, p)
+            target_values = [t.values for t in targets]
+            scale = _objective_scale(target_values, p)
             assert (scale is not None) == (magnitude > 1.0 and p > 1.0)
+            # block None scores U itself, the driver's start value
+            start = _polarized_objective(values, target_values, p, scale,
+                                         None, buf)
+            assert start == objective(U, targets, p, scale), p
             for H in admissible_half_spaces(spec):
-                score = _polarized_objective(
-                    [c.values for c in U.components],
-                    [t.values for t in targets], p, scale, _block(spec, H),
-                    buf)
-                assert score == _objective(polarize_multi(U, H), targets, p,
-                                           scale), (p, H)
+                score = _polarized_objective(values, target_values, p, scale,
+                                             _block(spec, H), buf)
+                assert score == objective(polarize_multi(U, H), targets, p,
+                                          scale), (p, H)
         for c, vals in zip(U.components, before):
             assert np.array_equal(c.values, vals)
 
@@ -560,3 +572,21 @@ class TestSymmetryDeficit:
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError, match="zero field"):
             symmetry_deficit(ScalarField(SPEC_1D, np.zeros(5)), 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n,L", [(99, 2.0), (99, 3.7), (17, 3.0)])
+    def test_bits_of_stacked_coordinates(self, dim, n, L):
+        # n=99 at L=2 and 3.7 has coordinates that are not exact negatives
+        # of their mirrors; the centroid must still round the same way
+        spec = make_grid(dim, n, L)
+        rng = np.random.default_rng(dim + n)
+        for _ in range(2):
+            field = random_bump_field(spec, rng)
+            assert symmetry_deficit(field, 2.0) == \
+                oracles.symmetry_deficit(field, 2.0)
+        off_centre = np.zeros(spec.shape)
+        off_centre[(slice(n // 5, n // 2),) * dim] = 1.0
+        field = ScalarField(spec, off_centre)
+        deficit, shift = symmetry_deficit(field, 2.0)
+        assert (deficit, shift) == oracles.symmetry_deficit(field, 2.0)
+        assert all(s > 0 for s in shift)

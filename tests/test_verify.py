@@ -18,7 +18,7 @@ from polarmin.verify import (SuiteLine, bump_params, check_local_monotonicity,
                              equiintegrability_profile, eval_bumps, grad_tol,
                              random_bump_field, run_property_suite)
 
-from oracles import dense_kernel_matrix, dense_q
+from oracles import coords, dense_kernel_matrix, dense_q
 
 SPEC_2D = make_grid(2, 9, 2.0)
 
@@ -43,8 +43,8 @@ tail_threshold = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 2.5]) | st.floats(
 
 def two_bump_field(n):
     spec = make_grid(2, n, 4.0)
-    d2a = np.sum((spec.coords - np.array([-0.31, 0.43])) ** 2, axis=-1)
-    d2b = np.sum((spec.coords - np.array([0.9, -0.7])) ** 2, axis=-1)
+    d2a = np.sum((coords(spec) - np.array([-0.31, 0.43])) ** 2, axis=-1)
+    d2b = np.sum((coords(spec) - np.array([0.9, -0.7])) ** 2, axis=-1)
     vals = np.exp(-d2a / 0.72) + 0.7 * np.exp(-d2b / 0.5)
     return ScalarField(spec, vals)
 
@@ -57,7 +57,7 @@ def two_bump_field(n):
 def oracle_field(spec, params):
     vals = np.zeros(spec.shape)
     for center, width, amp in params:
-        d2 = np.sum((spec.coords - center) ** 2, axis=-1)
+        d2 = np.sum((coords(spec) - center) ** 2, axis=-1)
         vals += amp * np.exp(-d2 / (2.0 * width**2))
     return ScalarField(spec, vals)
 
