@@ -165,7 +165,7 @@ def _moves(values, block: _Block) -> bool:
         else:
             above = u > u.swapaxes(0, 1)
             above &= _strict_upper(block.m, u.ndim)
-        if above.any():
+        if np.count_nonzero(above):
             return True
     return False
 
@@ -225,6 +225,7 @@ def schwarz_multi(U: MultiField) -> MultiField:
 
 
 SCHEDULE_MODES = ("random", "sweep", "greedy")
+_MAX_GREEDY_CANDIDATES = 64
 
 
 @dataclasses.dataclass
@@ -241,6 +242,15 @@ class PolarizationSchedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("max_iter >= 1 and tol > 0 required")
+        if not math.isfinite(self.p) or self.p < 1:
+            raise ValueError("p must be finite and >= 1")
+        # past 64 picks, rng.choice may leave Floyd's algorithm, which
+        # _choice_rows replays
+        k = self.greedy_candidates
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or not 1 <= k <= _MAX_GREEDY_CANDIDATES):
+            raise ValueError("greedy_candidates must be an integer from 1 "
+                             f"to {_MAX_GREEDY_CANDIDATES}")
 
 
 @dataclasses.dataclass
@@ -324,15 +334,82 @@ def _polarized_objective(values, targets, p: float, scale: float | None,
     return total
 
 
+def _choice_rows(rng: np.random.Generator, n: int, size: int,
+                 count: int) -> np.ndarray:
+    """A (count, size) array of distinct indices below n, whose rows are
+    those of count successive ``rng.choice(n, size, replace=False)``
+    calls, from one bounded draw.
+
+    For these sizes (size at most 64, so never above n // 50 when n
+    exceeds 10,000) numpy's choice runs Floyd's algorithm: a bounded draw
+    in [0, j] for each j from n - size to n - 1, kept unless already taken,
+    in which case j is taken.  A Fisher-Yates shuffle then swaps slot i
+    with a bounded draw in [0, i], for i from size - 1 down to 1.  A row's
+    2 size - 1 draws, row after row, come from one ``integers`` call with
+    those bounds, which consumes the stream as the scalar draws do; Floyd's
+    steps and the swaps then run column by column across all rows.
+    """
+    highs = np.concatenate([np.arange(n - size, n), np.arange(size - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(highs, count), endpoint=True)
+    # one column per row of picks, so each step reads contiguous lines
+    draws = draws.reshape(count, 2 * size - 1).T
+    cols = draws[:size].copy()
+    for c in range(1, size):
+        taken = (cols[:c] == cols[c]).any(axis=0)
+        cols[c, taken] = n - size + c
+    flat = cols.reshape(-1)
+    at = np.arange(count)
+    for i, slot in zip(range(size - 1, 0, -1), draws[size:]):
+        swap = slot * count + at
+        moved = flat[swap]
+        flat[swap] = cols[i].copy()
+        cols[i] = moved
+    return cols.T
+
+
+_PICK_BATCH = 1024  # iterations whose random picks are drawn at once
+
+
+def _picks(schedule: PolarizationSchedule, n: int):
+    """The indices into a family of n half-spaces that each iteration of
+    ``iterate_polarizations`` picks, one list per iteration, up to
+    ``schedule.max_iter`` lists.
+
+    Sweep takes the family in order.  Random and greedy draw the picks of
+    up to ``_PICK_BATCH`` iterations at once, the same picks as one scalar
+    ``rng.integers(n)`` or ``rng.choice`` call per iteration: numpy fills
+    a batch of bounded draws from the stream as successive scalar draws
+    do.  The generator, seeded by ``schedule.seed``, is private to the run,
+    so picks drawn past its last iteration change nothing else.
+    """
+    if schedule.mode == "sweep":
+        for it in range(schedule.max_iter):
+            yield [it % n]
+        return
+    rng = np.random.default_rng(schedule.seed)
+    size = min(schedule.greedy_candidates, n)
+    left = schedule.max_iter
+    while left > 0:
+        count = min(_PICK_BATCH, left)
+        if schedule.mode == "random":
+            rows = rng.integers(n, size=(count, 1))
+        else:  # greedy
+            rows = _choice_rows(rng, n, size, count)
+        yield from rows.tolist()
+        left -= count
+
+
 def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """Iterated polarizations driving U toward its Schwarz rearrangement.
 
     Each iteration picks half-spaces from the admissible family: the next
     one in order (sweep), one at random (random), or ``greedy_candidates``
     distinct ones at random (greedy), of which the one whose polarization
-    lowers the distance objective most is the candidate.  A candidate
-    polarization is only accepted if it strictly decreases the distance
-    objective to the target.  This keeps the recorded distance sequence
+    lowers the distance objective most is the candidate.  ``_picks`` draws
+    the random picks of up to ``_PICK_BATCH`` iterations at once, the same
+    picks as one ``rng.integers`` or ``rng.choice`` call per iteration.  A
+    candidate polarization is only accepted if it strictly decreases the
+    distance objective to the target.  This keeps the recorded distance sequence
     non-increasing even on tie shells of the discrete target, and rules out
     cycles of equal-distance exchanges (a point mass can otherwise bounce
     between mirror positions forever under a sweep schedule).
@@ -350,7 +427,8 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     half-space is polarized at most once per distinct iterate, plus once
     more for the accepted one.  Only the objective values are kept, at most
     one float per half-space of the family.  Iterations at a fixed point
-    still run and are traced, but cost only the random draws and lookups.
+    still run and are traced, but cost only their share of a batched draw
+    and the lookups.
 
     U is held as its component arrays, from a copy of U0's to the one
     MultiField built, the returned one.  Each half-space's ``_block`` is
@@ -366,7 +444,6 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)
-    rng = np.random.default_rng(schedule.seed)
     p, hN = schedule.p, spec.cell_volume
 
     # schwarz rejects negative fields, and polarization only exchanges
@@ -387,15 +464,7 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     obj = _polarized_objective(values, targets, p, scale, None, buf)
     blocks = [_block(spec, H) for H in family]
     scores = {}  # family index -> objective of U polarized by that half-space
-    for it in range(1, schedule.max_iter + 1):
-        if schedule.mode == "sweep":
-            picks = [(it - 1) % len(family)]
-        elif schedule.mode == "random":
-            picks = [int(rng.integers(len(family)))]
-        else:  # greedy
-            picks = rng.choice(len(family),
-                               size=min(schedule.greedy_candidates, len(family)),
-                               replace=False).tolist()
+    for it, picks in enumerate(_picks(schedule, len(family)), start=1):
         trace.candidates += len(picks)
         best_k, best = None, np.inf
         for k in picks:

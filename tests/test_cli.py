@@ -387,6 +387,25 @@ def test_greedy_symmetrize_pinned_bytes(tmp_path):
         assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
 
 
+def test_random_symmetrize_pinned_bytes(tmp_path):
+    # The random-mode sibling of the greedy run above: one random pick per
+    # iteration, so any change to the draws shows in trace.csv.
+    cfg = write_config(tmp_path, "command = symmetrize\ndim = 2\nn = 17\n"
+                                 "m = 2\nmode = random\nmax_iter = 300\n")
+    out = tmp_path / "out"
+    assert main(["symmetrize", "--config", cfg, "--out", str(out)]) == 0
+    expected = {
+        "trace.csv":
+            "a067891d24dda0281a519a521863a513bf43c212c5e526be5902019fd879528f",
+        "final.rfld":
+            "121aaaf7eaf34321c037a87543fd3170f21ee5f6d0d3de27799828a84def5e92",
+    }
+    for name, digest in expected.items():
+        kept = [ln for ln in (out / name).read_bytes().splitlines(keepends=True)
+                if not ln.startswith(b"#")]
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
+
+
 class TestWriters:
     def test_csv_comment_first_and_floats_round_trip(self, tmp_path):
         values = (-0.0, 1e-300, 0.1 + 0.2, np.float64(2.0) / 3.0)

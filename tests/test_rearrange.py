@@ -320,6 +320,24 @@ class TestIteratePolarizations:
         with pytest.raises(ValueError):
             PolarizationSchedule(max_iter=0)
 
+    @pytest.mark.parametrize("k", [0, -1, 65, 2.5, 16.0, "16", True, None])
+    def test_greedy_candidates_validated(self, k):
+        # 0 once ran every iteration with no candidate, -1 and 2.5 failed
+        # inside numpy; above 64 rng.choice may leave Floyd's algorithm
+        with pytest.raises(ValueError, match="greedy_candidates"):
+            PolarizationSchedule(greedy_candidates=k)
+
+    @pytest.mark.parametrize("k", [1, 64, np.int64(16)])
+    def test_greedy_candidates_accepted(self, k):
+        assert PolarizationSchedule(greedy_candidates=k).greedy_candidates == k
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5, 0.0,
+                                   -2.0])
+    def test_p_validated(self, p):
+        # p = nan once ran to max_iter with nan distances
+        with pytest.raises(ValueError, match="p must be"):
+            PolarizationSchedule(p=p)
+
 
 class TestIterateOracle:
     @pytest.mark.parametrize("spec", [make_grid(1, 9, 2.0),
@@ -414,6 +432,61 @@ class TestIterateOracle:
         assert trace.unchanged > 0
         assert U.components[0].values.tobytes() == \
             U_ref.components[0].values.tobytes()
+
+
+class TestPicks:
+    """The batched picks of ``_picks`` are the picks of one scalar draw
+    per iteration, the draws ``oracle_iterate`` makes."""
+
+    @staticmethod
+    def picks(mode, n, seed, max_iter, k=16):
+        schedule = PolarizationSchedule(mode=mode, seed=seed,
+                                        max_iter=max_iter, greedy_candidates=k)
+        return list(rearrange._picks(schedule, n))
+
+    # the families of 1D n=3 and n=7 (size == n), 2D n=3 and n=65, one
+    # size between, and 2D n=1447, above the 10,000 where numpy's choice
+    # may switch algorithm
+    @pytest.mark.parametrize("n", [6, 14, 24, 520, 2304, 11576])
+    @pytest.mark.parametrize("batch", [1024, 7])
+    def test_greedy_rows_are_choice_rows(self, monkeypatch, n, batch):
+        monkeypatch.setattr(rearrange, "_PICK_BATCH", batch)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = [rng.choice(n, min(16, n), replace=False).tolist()
+                        for _ in range(30)]
+            assert self.picks("greedy", n, seed, 30) == expected, seed
+
+    @pytest.mark.parametrize("n", [64, 11576])
+    def test_most_candidates(self, n):
+        rng = np.random.default_rng(6)
+        expected = [rng.choice(n, 64, replace=False).tolist()
+                    for _ in range(20)]
+        assert self.picks("greedy", n, 6, 20, k=64) == expected
+
+    @pytest.mark.parametrize("n", [6, 520, 11576])
+    @pytest.mark.parametrize("batch", [1024, 7])
+    def test_random_rows_are_scalar_draws(self, monkeypatch, n, batch):
+        monkeypatch.setattr(rearrange, "_PICK_BATCH", batch)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = [[int(rng.integers(n))] for _ in range(30)]
+            assert self.picks("random", n, seed, 30) == expected, seed
+
+    @pytest.mark.parametrize("mode", ["greedy", "random"])
+    def test_across_batches_bit_identical(self, monkeypatch, mode):
+        # batches of 7 iterations, so the run crosses many batch ends
+        monkeypatch.setattr(rearrange, "_PICK_BATCH", 7)
+        spec = make_grid(2, 17, 2.0)
+        rng = np.random.default_rng(8)
+        U0 = MultiField([random_bump_field(spec, rng) for _ in range(2)])
+        schedule = PolarizationSchedule(mode=mode, seed=4, max_iter=150,
+                                        tol=1e-12)
+        U, trace = iterate_polarizations(U0, schedule)
+        U_ref, rows_ref, status_ref, _ = oracle_iterate(U0, schedule)
+        assert (trace.rows, trace.status) == (rows_ref, status_ref)
+        for c, c_ref in zip(U.components, U_ref.components):
+            assert c.values.tobytes() == c_ref.values.tobytes()
 
 
 class TestMoves:
