@@ -158,24 +158,32 @@ def origin_value(V: KernelV, spec: GridSpec) -> float:
 def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
     """V at every pairwise lattice offset, in the circulant layout of rfftn.
 
-    Along each axis of length M = _fast_len(2n - 1), index q holds
-    offset d = q for q < n and d = q - M for q > M - n, and 0 in between.
-    Index (0, ..., 0), the zero offset, holds origin_value.
+    Along each axis of length M = _fast_len(2n - 2), index q holds offset
+    d = q for q < n and d = q - M for q > M - n, and 0 in between; where
+    M = 2n - 2, offsets n - 1 and 1 - n share index n - 1.  Every entry is
+    sampled at the radius of |d|, so the kernel is exactly even along each
+    axis and the shared index holds the one value of both offsets.  Index
+    (0, ..., 0), the zero offset, holds origin_value.
     """
     n, dim = spec.points_per_axis, spec.dim
-    size = _fast_len(2 * n - 1)
-    offsets = np.r_[0:n, 1 - n:0]
-    # -2L + h(d + n - 1) are the coordinates of the grid with 2n - 1 points
-    # and half-width 2L, whose step 4L/(2n - 2) equals spec.h exactly; the
-    # exactly symmetric h*d rounds differently where h is not a power of 2.
-    x = -2.0 * spec.half_width + spec.h * (offsets + n - 1)
+    size = _fast_len(2 * n - 2)
+    # -2L + h(|d| + n - 1) are the coordinates of the grid with 2n - 1
+    # points and half-width 2L, whose step 4L/(2n - 2) equals spec.h
+    # exactly; the exactly symmetric h*|d| rounds differently where h is not
+    # a power of 2.
+    x = -2.0 * spec.half_width + spec.h * (np.arange(n) + n - 1)
     r = np.sqrt(axis_sum([x**2] * dim)).ravel()
     vals = np.empty_like(r)
     vals[0] = origin_value(V, spec)  # offset (0, ..., 0) comes first
     vals[1:] = V.v(r[1:])
     _require_finite(vals[1:], "kernel")
+    # index q holds |d| = min(q, M - q) where that is below n
+    q = np.arange(size)
+    dist = np.minimum(q, size - q)
+    used = dist < n
     kernel = np.zeros((size,) * dim)
-    kernel[np.ix_(*[offsets % size] * dim)] = vals.reshape((2 * n - 1,) * dim)
+    kernel[np.ix_(*[used] * dim)] = vals.reshape((n,) * dim)[
+        np.ix_(*[dist[used]] * dim)]
     return kernel
 
 
@@ -193,18 +201,34 @@ def _fast_len(target: int) -> int:
         size += 1
 
 
-def _rfft_padded(a: np.ndarray, size: int) -> np.ndarray:
-    """rfftn of a zero-padded to size along every axis.
+def _spectrum_buffers(size: int, dim: int) -> list:
+    """Two work arrays of the rfftn shape (M, ..., M, M // 2 + 1), which
+    the passes of _rfft_padded and kernel_convolve write in turn."""
+    shape = (size,) * (dim - 1) + (size // 2 + 1,)
+    return [np.empty(shape, dtype=complex) for _ in range(2)]
+
+
+def _rfft_padded(a: np.ndarray, size: int, work: list) -> np.ndarray:
+    """rfftn of a zero-padded to size along every axis, as a view of one
+    of the two arrays of work (_spectrum_buffers).
 
     The axes run as in scipy.fft.rfftn: the real transform along the last
     axis, then the complex one along axes 0, 1, ....  Each pass pads only
     its own axis, so lines that are all padding are never transformed
     (FFT pruning, Markel, IEEE Trans. Audio Electroacoust. 19, 1971); they
-    would transform to zeros.
+    would transform to zeros.  The passes write the leading blocks of the
+    two work arrays in turn, starting with work[0], so the result lies in
+    work[(a.ndim - 1) % 2].
     """
-    out = np.fft.rfft(a, size, axis=-1)
-    for k in range(a.ndim - 1):
-        out = np.fft.fft(out, size, axis=k)
+    lead = a.ndim - 1
+
+    def block(k):  # axes 0..k-1 transformed to length size
+        return (slice(None),) * k + tuple(slice(n) for n in a.shape[k:lead])
+
+    out = np.fft.rfft(a, size, axis=-1, out=work[0][block(0)])
+    for k in range(lead):
+        out = np.fft.fft(out, size, axis=k,
+                         out=work[(k + 1) % 2][block(k + 1)])
     return out
 
 
@@ -213,18 +237,23 @@ class NonlocalOperator:
 
     The sampled kernel is stored as the rFFT of its circulant embedding
     (sample_kernel): offset d along an axis sits at index d mod M, with
-    M = _fast_len(2n - 1) >= 2n - 1, so the cyclic convolution of the
+    M = _fast_len(2n - 2) >= 2n - 2.  The offsets x - y of two grid points
+    lie in [1 - n, n - 1], and only +-(n - 1) can meet at one index, which
+    the even kernel gives one value; so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
     (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
     kernel_hat is _rfft_padded of the sampled kernel, the bits of
-    scipy.fft.rfftn.
+    scipy.fft.rfftn.  Only the kernel's transform is kept; the work arrays
+    of kernel_convolve live for one call.
     """
 
     def __init__(self, V: KernelV, spec: GridSpec):
         self.V, self.spec = V, spec
         kernel = sample_kernel(V, spec)
         self.fft_shape = kernel.shape
-        self.kernel_hat = _rfft_padded(kernel, kernel.shape[-1])
+        size = kernel.shape[-1]
+        self.kernel_hat = _rfft_padded(
+            kernel, size, _spectrum_buffers(size, kernel.ndim))
 
 
 @functools.lru_cache(maxsize=4)
@@ -246,13 +275,23 @@ def kernel_convolve(g: np.ndarray, op: NonlocalOperator) -> np.ndarray:
     passes leave out the 1/M^N factor; one product applies it to each kept
     point, as irfftn's last pass does.  The pruned passes do about 0.57 times
     the line work of the full transforms in 3D, and 0.74 times in 2D.
+    Every pass writes into one of two work arrays made for this call
+    (_spectrum_buffers), the last into a real view of one of them, so the
+    only other array made is the result.
     """
     size = op.fft_shape[-1]
-    full = _rfft_padded(g, size) * op.kernel_hat
+    work = _spectrum_buffers(size, g.ndim)
+    full = _rfft_padded(g, size, work)
+    np.multiply(full, op.kernel_hat, out=full)
+    side = (g.ndim - 1) % 2  # the work array that holds full
     for k, n in enumerate(g.shape[:-1]):
-        keep = (slice(None),) * k + (slice(n),)
-        full = np.fft.ifft(full, axis=k, norm="forward")[keep]
-    out = np.fft.irfft(full, size, axis=-1, norm="forward")
+        side = 1 - side
+        out = np.fft.ifft(full, axis=k, norm="forward",
+                          out=work[side][(slice(n),) * k])
+        full = out[(slice(None),) * k + (slice(n),)]
+    real = work[1 - side].view(np.float64)[
+        tuple(slice(n) for n in g.shape[:-1]) + (slice(size),)]
+    out = np.fft.irfft(full, size, axis=-1, norm="forward", out=real)
     return out[..., :g.shape[-1]] * (1.0 / size**g.ndim)
 
 

@@ -159,13 +159,22 @@ def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
 
 def axis_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Finite-difference derivative: centered interior, one-sided at faces."""
-    d = np.empty_like(values)
+    return _axis_derivative_into(values, axis, h, np.empty_like(values))
+
+
+def _axis_derivative_into(values: np.ndarray, axis: int, h: float,
+                          out: np.ndarray) -> np.ndarray:
+    """axis_derivative written into out, an array of values' shape that
+    does not overlap it; returns out."""
     u = np.moveaxis(values, axis, 0)
-    out = np.moveaxis(d, axis, 0)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    out[0] = (u[1] - u[0]) / h
-    out[-1] = (u[-1] - u[-2]) / h
-    return d
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(u[2:], u[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    np.subtract(u[1:2], u[:1], out=o[:1])
+    o[:1] /= h
+    np.subtract(u[-1:], u[-2:-1], out=o[-1:])
+    o[-1:] /= h
+    return out
 
 
 def axis_derivative_adjoint(w: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -190,20 +199,32 @@ def gradient_components(field: ScalarField) -> list:
 
 
 def gradient_magnitude(field: ScalarField) -> ScalarField:
-    """Pointwise Euclidean norm of the finite-difference gradient."""
-    return ScalarField(field.spec, _magnitude(gradient_components(field)))
+    """Pointwise Euclidean norm of the finite-difference gradient.
+
+    The derivatives are made one at a time into one array, each consumed
+    by _magnitude before the next overwrites it.
+    """
+    h, values = field.spec.h, field.values
+    work = np.empty_like(values)
+    return ScalarField(field.spec, _magnitude(
+        _axis_derivative_into(values, k, h, work)
+        for k in range(values.ndim)))
 
 
-def _magnitude(comps: list) -> np.ndarray:
+def _magnitude(comps) -> np.ndarray:
     """Pointwise Euclidean norm of the arrays comps, which stay unchanged.
 
-    The squares are added left to right: the order, and so the bits, of a
-    sum over a stacked axis 0, without the stacked copy.  Every |Du| of the
-    package goes through here.
+    comps may be a list or an iterator that reuses one array: each array is
+    read once, before the next is drawn.  The squares are added left to
+    right: the order, and so the bits, of a sum over a stacked axis 0,
+    without the stacked copy.  Every |Du| of the package goes through here.
     """
-    s = np.square(comps[0])
-    for c in comps[1:]:
-        s += np.square(c)
+    comps = iter(comps)
+    s = np.square(next(comps))
+    sq = None
+    for c in comps:
+        sq = np.square(c, out=sq)
+        s += sq
     return np.sqrt(s, out=s)
 
 
@@ -224,8 +245,8 @@ def write_field(U: MultiField, path) -> None:
         fh.write(f"{spec.dim} {U.m} {spec.points_per_axis} "
                  f"{spec.half_width:.17g}\n")
         for comp in U.components:
-            for v in comp.values.ravel():
-                fh.write(f"{v:.17g}\n")
+            fh.write("".join([f"{v:.17g}\n"
+                              for v in comp.values.ravel().tolist()]))
 
 
 def read_field(path) -> MultiField:

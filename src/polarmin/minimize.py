@@ -240,20 +240,26 @@ def _dst(values: np.ndarray) -> np.ndarray:
     next axis leads.  The running array v holds minus the coefficients: a
     pass builds its extension as [0, -v, 0, v reversed] and keeps the
     imaginary parts without negating them, and one negation at the end
-    gives the coefficients in C order.
+    gives the coefficients in C order; the first extension is built from
+    the values directly, [0, x, 0, -x reversed].  values is a cube, as
+    every grid is, so one extension array and one spectrum array serve
+    every pass, and the zeros of the extension are written once.
     """
-    shape = values.shape
-    scale = float(1 / np.sqrt(np.longdouble(math.prod(2 * (n + 1)
-                                                       for n in shape))))
-    v = -values
-    for k, n in enumerate(shape):
-        ext = np.zeros((2 * (n + 1),) + v.shape[1:])
-        np.negative(v, out=ext[1:n + 1])
-        ext[n + 2:] = v[::-1]
-        im = np.fft.rfft(ext, axis=0).imag[1:n + 1]
+    n = values.shape[0]
+    scale = float(1 / np.sqrt(np.longdouble((2 * (n + 1)) ** values.ndim)))
+    ext = np.empty((2 * (n + 1),) + values.shape[1:])
+    ext[0] = ext[n + 1] = 0.0
+    spectrum = np.empty((n + 2,) + values.shape[1:], dtype=complex)
+    ext[1:n + 1] = values
+    np.negative(values[::-1], out=ext[n + 2:])
+    for k in range(values.ndim):
+        im = np.fft.rfft(ext, axis=0, out=spectrum).imag[1:n + 1]
         if k == 0:
-            im = im * scale
+            im *= scale
         v = np.moveaxis(im, 0, -1)
+        if k + 1 < values.ndim:
+            np.negative(v, out=ext[1:n + 1])
+            ext[n + 2:] = v[::-1]
     return np.negative(v, order="C")
 
 
@@ -281,13 +287,26 @@ def _tangent_direction(U: MultiField, grad: MultiField, p: float,
     return MultiField(dirs), rs
 
 
-def _bb_step(s: list, y: list, symbol: np.ndarray) -> float | None:
+def _bb_step(s: list, y: list, h: float) -> float | None:
     """Barzilai-Borwein step sum <s_i, P^-1 s_i> / sum <s_i, y_i> shared by
-    all components, or None when the curvature sum <s, y> is not positive."""
+    all components, or None when the curvature sum <s, y> is not positive.
+
+    <s, P^-1 s> = |s|^2 + (alpha/h^2) sum_k |D+_k s|^2, with D+_k s the
+    differences along axis k over the n + 1 edges of each line, zero
+    outside the box: -h^2 Delta_h = sum_k D+_k^T D+_k for the Laplacian
+    that _sobolev_symbol diagonalizes, so the numerator needs no DST.
+    """
     sy = sum(float(np.vdot(si, yi)) for si, yi in zip(s, y))
     if not sy > 0.0:
         return None
-    return sum(float(np.vdot(symbol, _dst(si) ** 2)) for si in s) / sy
+    num = 0.0
+    for si in s:
+        edges = 0.0
+        for k in range(si.ndim):
+            d = np.diff(si, axis=k, prepend=0.0, append=0.0)
+            edges += float(np.vdot(d, d))
+        num += float(np.vdot(si, si)) + SOBOLEV_ALPHA / h**2 * edges
+    return num / sy
 
 
 def minimize(config: MinimizeConfig) -> MinimizeResult:
@@ -351,7 +370,7 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
             status = "converged"
             break
         direction, r_new = _tangent_direction(U, grad, p, symbol)
-        bb = _bb_step(s, [a - b for a, b in zip(r_new, r)], symbol)
+        bb = _bb_step(s, [a - b for a, b in zip(r_new, r)], U.spec.h)
         eta, r = (eta_used if bb is None else bb), r_new
 
     lams, residuals = lagrange_residual(U, grad, p)

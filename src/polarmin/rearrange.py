@@ -213,11 +213,16 @@ def schwarz(field: ScalarField) -> ScalarField:
     canonical radial point order."""
     if np.any(field.values < 0):
         raise ValueError("Schwarz rearrangement requires non-negative fields")
-    order = canonical_order(field.spec)
-    vals = np.sort(field.values.ravel())[::-1]
-    out = np.empty_like(vals)
-    out[order] = vals
-    return ScalarField(field.spec, out.reshape(field.spec.shape))
+    return _place_radially(field.spec, np.sort(field.values, axis=None))
+
+
+def _place_radially(spec: GridSpec, ascending: np.ndarray) -> ScalarField:
+    """The Schwarz rearrangement of a non-negative field from its values
+    in ascending order: the largest at the first point of canonical_order,
+    and so on outward."""
+    out = np.empty_like(ascending)
+    out[canonical_order(spec)] = ascending[::-1]
+    return ScalarField(spec, out.reshape(spec.shape))
 
 
 def schwarz_multi(U: MultiField) -> MultiField:

@@ -5,13 +5,16 @@ point coordinates, independently of the sampled kernel and the FFT route
 of polarmin.energy; its memory grows as P^2 for P grid points: about
 190 MB at 17^3.  The polarization driver's objective and distances, and
 the symmetry deficit, are written on whole fields, as the library wrote
-them before it worked on arrays in place.
+them before it worked on arrays in place.  The Barzilai-Borwein step takes
+its numerator from DST coefficients, and the RFLD writer writes one value
+at a time, as the library did before.
 """
 
 import numpy as np
 
 from polarmin.energy import origin_value
 from polarmin.grid import ScalarField, lp_norm
+from polarmin.minimize import _dst
 from polarmin.rearrange import schwarz, shift_field
 
 
@@ -93,3 +96,24 @@ def symmetry_deficit(field, p):
     diff = ScalarField(spec, np.abs(centered.values - target.values))
     deficit = lp_norm(diff, p) / lp_norm(field, p)
     return deficit, tuple(int(s) for s in shift)
+
+
+def bb_step_dst(s, y, symbol):
+    """minimize._bb_step with <s_i, P^-1 s_i> = sum symbol * DST(s_i)^2,
+    symbol from minimize._sobolev_symbol."""
+    sy = sum(float(np.vdot(si, yi)) for si, yi in zip(s, y))
+    if not sy > 0.0:
+        return None
+    return sum(float(np.vdot(symbol, _dst(si) ** 2)) for si in s) / sy
+
+
+def write_field_per_value(U, path):
+    """grid.write_field with one write per value."""
+    spec = U.spec
+    with open(path, "w", newline="\n") as fh:
+        fh.write("RFLD 1\n")
+        fh.write(f"{spec.dim} {U.m} {spec.points_per_axis} "
+                 f"{spec.half_width:.17g}\n")
+        for comp in U.components:
+            for v in comp.values.ravel():
+                fh.write(f"{v:.17g}\n")

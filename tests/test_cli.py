@@ -310,18 +310,18 @@ GOLDEN = {
         {
             "diagnostics.txt": (
                 "status = max_steps_reached\n"
-                "E1 = 0.0023424264140141722\n"
+                "E1 = 0.0023424264140141727\n"
                 "E2 = 0\n"
                 "E3 = 0\n"
-                "total = 0.0023424264140141722\n"
+                "total = 0.0023424264140141727\n"
                 "dilation_E[1] = 0.41689417405392298\n"
                 "dilation_E[0.5] = 0.15090242141142596\n"
                 "dilation_E[0.25] = 0.06705769056780074\n"
                 "dilation_E[0.125] = 0.038648362040848379\n"
-                "lambda_1 = -0.0046848528280283436\n"
+                "lambda_1 = -0.0046848528280283453\n"
                 "residual_1 = 0.9954046481431279\n"
-                "deficit_1 = 0.18801950498638825\n"
-                "grad_norm_gap_1 = -0.03786015880539053\n"
+                "deficit_1 = 0.18801950498638828\n"
+                "grad_norm_gap_1 = -0.037860158805390523\n"
                 "plateau_1 = 0\n"
             ),
             "final.rfld": (
@@ -330,7 +330,7 @@ GOLDEN = {
                 "0.39566050103268147\n"
                 "0.39892436249100977\n"
                 "0.3559924745188337\n"
-                "0.34345344978375902\n"
+                "0.34345344978375897\n"
                 "0.30334843148255375\n"
                 "0.30797770662319673\n"
                 "0.28837834569940679\n"
@@ -342,8 +342,8 @@ GOLDEN = {
                 "0,0.038648362040848379,0,0,0.038648362040848379,0,1\n"
                 "1,0.014725719046309158,0,0,0.014725719046309158,1,1\n"
                 "2,0.014725719046309158,0,0,0.014725719046309158,0,0\n"
-                "3,0.0023424264140141722,0,0,0.0023424264140141722,2.1459345240921093,1\n"
-                "4,0.0023424264140141722,0,0,0.0023424264140141722,0,0\n"
+                "3,0.0023424264140141727,0,0,0.0023424264140141727,2.1459345240921088,1\n"
+                "4,0.0023424264140141727,0,0,0.0023424264140141727,0,0\n"
             ),
         }),
 }

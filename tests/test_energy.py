@@ -83,19 +83,15 @@ ORIGIN_RULES = ("cell_average", "zero", ("explicit", 3.5))
 
 class TestKernel:
     # circulant layout along an axis of length M: index q holds offset q for
-    # q < n and q - M for q > M - n; n = 17 gives M = 36, so indices 17..19
-    # form the unused band
+    # q < n and q - M for q > M - n; n = 17 gives M = 32 = 2n - 2, so no
+    # index is unused and offsets 16 and -16 share index 16
     def test_constant_kernel(self):
         spec = make_grid(2, 17, 1.0)
         V = KernelV(v=lambda r: np.ones_like(r),
                     origin_rule=("explicit", 1.0))
         k = sample_kernel(V, spec)
-        assert k.shape == (36, 36)
-        used = np.r_[0:17, 20:36]
-        mask = np.zeros(k.shape, dtype=bool)
-        mask[np.ix_(used, used)] = True
-        assert np.all(k[mask] == 1.0)
-        assert np.all(k[~mask] == 0.0)
+        assert k.shape == (32, 32)
+        assert np.all(k == 1.0)
 
     def test_coulomb_origin_cell_average(self):
         for n, L in ((5, 2.0), (9, 2.0)):
@@ -138,13 +134,29 @@ class TestKernel:
         padded = make_grid(dim, 2 * n - 1, 7.4)
         V = KernelV(v=lambda r: 1.0 / r)
         k = sample_kernel(V, spec)
-        # padded index n - 1 + d holds offset d, which k holds at d mod M
-        src = np.r_[n - 1:2 * n - 1, 0:n - 1]
-        dst = np.r_[0:n, 1 - n:0] % k.shape[0]
+        # k holds offset d at d mod M, sampled at the radius of |d|: padded
+        # index n - 1 + |d|
+        d = np.r_[0:n, 1 - n:0]
+        src = n - 1 + np.abs(d)
+        dst = d % k.shape[0]
         with np.errstate(divide="ignore"):  # the padded centre may be 0
             expected = V.v(padded.radii[np.ix_(*[src] * dim)])
         expected[(0,) * dim] = origin_value(V, spec)
         assert np.array_equal(k[np.ix_(*[dst] * dim)], expected)
+
+    # n = 17 gives M = 2n - 2, where offsets +-(n - 1) share an index;
+    # n = 99 gives M = 200; h = 3.7/8 and 3.7/49 are not powers of 2
+    @pytest.mark.parametrize("n", [17, 99])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_even_along_each_axis(self, dim, n):
+        spec = make_grid(dim, n, 3.7)
+        k = sample_kernel(KernelV(v=lambda r: 1.0 / r), spec)
+        size = k.shape[0]
+        assert size == {17: 32, 99: 200}[n]
+        for axis in range(dim):
+            bits = np.moveaxis(k, axis, 0).view(np.int64)
+            for q in range(size):
+                assert np.array_equal(bits[q], bits[(size - q) % size])
 
     # n = 99 at L = 2: the centre coordinate is -2.2e-16, not 0
     @pytest.mark.parametrize("dim,n", [(1, 99), (2, 9), (3, 5)])
@@ -156,9 +168,10 @@ class TestKernel:
 
 
 class TestNonlocalOperator:
-    # n = 3, 13: next_fast_len(2n - 1) == 2n - 1; n = 9, 17: it is larger,
-    # so a wrong embedding would wrap around.  The 17^3 pairwise sum needs
-    # a 190 MB matrix and is left out.
+    # n = 3, 9, 13, 17: next_fast_len(2n - 2) == 2n - 2, so offsets
+    # +-(n - 1) share an index, which only an even kernel gets right;
+    # n = 99, 197: it is larger.  The 17^3 pairwise sum needs a 190 MB
+    # matrix and is left out.
     # 1D n = 99 and 197 at L = 2: the centre coordinate is within an ulp of
     # 0, not 0, so the zero offset must be found by index.
     @pytest.mark.parametrize("dim,n", [(d, n) for d in (1, 2, 3)
@@ -172,7 +185,7 @@ class TestNonlocalOperator:
         g = np.random.default_rng(n).random(spec.shape)
         expected = dense_sum(g, V, spec)
         op = nonlocal_operator(V, spec)
-        assert op.fft_shape == (next_fast_len(2 * n - 1, real=True),) * dim
+        assert op.fft_shape == (next_fast_len(2 * n - 2, real=True),) * dim
         got = kernel_convolve(g, op)
         assert got.shape == spec.shape
         assert np.max(np.abs(got - expected)) <= (

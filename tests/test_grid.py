@@ -13,7 +13,7 @@ from polarmin.grid import (MAX_HALF_WIDTH, MAX_POINTS, FieldFormatError,
                            gradient_components, gradient_magnitude, lp_norm,
                            make_grid, read_field, write_field)
 
-from oracles import coords
+from oracles import coords, write_field_per_value
 
 
 def field_1d(values, half_width=2.0):
@@ -216,6 +216,23 @@ class TestFieldFile:
         assert V.spec == spec and V.m == 2
         for a, b in zip(U.components, V.components):
             assert np.array_equal(a.values, b.values)
+
+    def test_bytes_of_per_value_writer(self, tmp_path):
+        spec = make_grid(2, 5, 1.5)
+        rng = np.random.default_rng(3)
+        edge = rng.random(spec.shape)
+        edge.flat[:5] = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 0.0]
+        wide = (rng.standard_normal(spec.shape)
+                * 10.0 ** rng.uniform(-300, 300, spec.shape))
+        for U in (MultiField([ScalarField(spec, edge)]),
+                  MultiField([ScalarField(spec, edge),
+                              ScalarField(spec, wide)])):
+            got, want = tmp_path / "got.rfld", tmp_path / "want.rfld"
+            write_field(U, got)
+            write_field_per_value(U, want)
+            assert got.read_bytes() == want.read_bytes()
+        assert (b"\n-0\n4.9406564584124654e-324\n1e-300\n"
+                b"1.7976931348623157e+308\n") in got.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "u.rfld"

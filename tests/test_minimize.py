@@ -18,7 +18,7 @@ from polarmin.minimize import (ConstraintVector, MinimizeConfig, descent_step,
 from polarmin.rearrange import schwarz, schwarz_multi, symmetry_deficit
 from polarmin.verify import random_bump_field
 
-from oracles import coords
+from oracles import bb_step_dst, coords
 
 mn = importlib.import_module("polarmin.minimize")
 
@@ -249,6 +249,27 @@ class TestDst:
         assert np.max(np.abs(mn._dst(got) - x)) <= 1e-12 * np.max(np.abs(x))
 
 
+class TestBarzilaiBorwein:
+    # every odd n from 3 to 33 on dims 1-3, two components, at h = 4/(n-1)
+    @pytest.mark.parametrize("n", range(3, 34, 2))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_numerator_matches_dst_form(self, dim, n):
+        spec = make_grid(dim, n, 2.0)
+        rng = np.random.default_rng(dim * 100 + n)
+        s = [rng.standard_normal(spec.shape) for _ in range(2)]
+        y = [si + 0.1 * rng.standard_normal(spec.shape) for si in s]
+        got = mn._bb_step(s, y, spec.h)
+        want = bb_step_dst(s, y, mn._sobolev_symbol(spec))
+        assert got is not None and want is not None
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_no_step_without_positive_curvature(self):
+        spec = make_grid(2, 9, 2.0)
+        s = [np.random.default_rng(0).standard_normal(spec.shape)]
+        for y in ([-s[0]], [np.zeros(spec.shape)]):
+            assert mn._bb_step(s, y, spec.h) is None
+
+
 class TestDescentAndMinimize:
     def test_descent_step_decreases_energy(self):
         spec = make_grid(1, 33, 4.0)
@@ -371,7 +392,7 @@ def golden_config():
 def stalling_config():
     """example_paper at 7^3 with a Schwarz candidate every 60 steps; with
     grad_tol 0 it runs until no halving of a descent step lowers the
-    energy in floating point, which happens at step 70, after the Schwarz
+    energy in floating point, which happens at step 75, after the Schwarz
     candidate of step 60 is rejected for raising the energy."""
     spec = make_grid(3, 7, 4.0)
     noise = np.random.default_rng(0).random(spec.shape)
@@ -420,7 +441,7 @@ def reference_minimize(cfg):
             U_new, fresh_gradient(U_new, model), p, symbol)
         bb = mn._bb_step([a.values - b.values for a, b in
                           zip(U_new.components, U.components)],
-                         [a - b for a, b in zip(r_new, r)], symbol)
+                         [a - b for a, b in zip(r_new, r)], cfg.spec.h)
         eta = eta_used if bb is None else bb
         U = U_new
     return U, rows, lagrange_residual(U, fresh_gradient(U, model), p)
