@@ -144,10 +144,14 @@ def lp_norm(field: ScalarField, p: float) -> float:
                            p, field.spec.cell_volume)
 
 
-def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
-    """lp_norm from the ascending |values| v and the cell volume hN."""
+def _lp_norm_sorted(v: np.ndarray, p: float, hN: float,
+                    powers: np.ndarray | None = None) -> float:
+    """lp_norm from the ascending |values| v and the cell volume hN;
+    powers is v**p, when the caller has made it."""
     with np.errstate(over="ignore"):
-        s = float(np.sum(v**p)) * hN
+        if powers is None:
+            powers = v**p
+        s = float(np.sum(powers)) * hN
     if not np.isfinite(s):
         # |u|^p overflows for finite fields (above about 1e154 at p=2):
         # factor out the maximum.  Only overflowing sums take this branch,
@@ -158,38 +162,68 @@ def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
 
 
 def axis_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Finite-difference derivative: centered interior, one-sided at faces."""
+    """Finite-difference derivative: centered interior, one-sided at faces.
+
+    A non-contiguous input is copied first: the stencil runs on the
+    flattened C-contiguous array.
+    """
+    values = np.ascontiguousarray(values)
     return _axis_derivative_into(values, axis, h, np.empty_like(values))
+
+
+def _faces(axis: int):
+    """Index tuples of the planes 0, 1, n - 2 and n - 1 along axis."""
+    pre = (slice(None),) * axis
+    return (pre + (slice(0, 1),), pre + (slice(1, 2),),
+            pre + (slice(-2, -1),), pre + (slice(-1, None),))
 
 
 def _axis_derivative_into(values: np.ndarray, axis: int, h: float,
                           out: np.ndarray) -> np.ndarray:
-    """axis_derivative written into out, an array of values' shape that
-    does not overlap it; returns out."""
-    u = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(u[2:], u[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0 * h
-    np.subtract(u[1:2], u[:1], out=o[:1])
-    o[:1] /= h
-    np.subtract(u[-1:], u[-2:-1], out=o[-1:])
-    o[-1:] /= h
+    """axis_derivative written into out; values and out are C-contiguous
+    arrays of one shape that do not overlap.  Returns out.
+
+    Along the flattened arrays the axis has stride s, so the interior
+    difference is one contiguous pass, f[2s:] - f[:-2s] into o[s:-s],
+    then /= 2h.  That pass also writes the face planes, from values in
+    neighbouring lines; the one-sided values then overwrite them.
+    """
+    s = values.strides[axis] // values.itemsize
+    f, o = values.reshape(-1), out.reshape(-1)
+    np.subtract(f[2 * s:], f[:-2 * s], out=o[s:-s])
+    o[s:-s] /= 2.0 * h
+    first, second, before, last = _faces(axis)
+    np.subtract(values[second], values[first], out=out[first])
+    out[first] /= h
+    np.subtract(values[last], values[before], out=out[last])
+    out[last] /= h
     return out
 
 
 def axis_derivative_adjoint(w: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Transpose of axis_derivative as a linear map on grid values."""
-    d = np.zeros_like(w)
-    wv = np.moveaxis(w, axis, 0)
-    out = np.moveaxis(d, axis, 0)
-    # interior stencil (u[i+1]-u[i-1])/(2h) for i=1..n-2
-    out[2:] += wv[1:-1] / (2.0 * h)
-    out[:-2] -= wv[1:-1] / (2.0 * h)
+    """Transpose of axis_derivative as a linear map on grid values.
+
+    The interior stencil's transpose adds and subtracts t = w / (2h),
+    shifted by the axis stride along the flattened arrays, in two
+    contiguous passes.  t's face planes are zeroed first, so the terms
+    that cross into a neighbouring line add +0.0; the sum starts at +0.0
+    and never becomes -0.0, so they change no bit.
+    """
+    d = np.zeros_like(w, order="C")
+    t = np.empty_like(w, order="C")
+    np.divide(w, 2.0 * h, out=t)
+    first, second, before, last = _faces(axis)
+    t[first] = 0.0
+    t[last] = 0.0
+    s = t.strides[axis] // t.itemsize
+    dv, tv = d.reshape(-1), t.reshape(-1)
+    dv[2 * s:] += tv[s:-s]
+    dv[:-2 * s] -= tv[s:-s]
     # one-sided stencils at the faces
-    out[1] += wv[0] / h
-    out[0] -= wv[0] / h
-    out[-1] += wv[-1] / h
-    out[-2] -= wv[-1] / h
+    d[second] += w[first] / h
+    d[first] -= w[first] / h
+    d[last] += w[last] / h
+    d[before] -= w[last] / h
     return d
 
 
@@ -204,7 +238,7 @@ def gradient_magnitude(field: ScalarField) -> ScalarField:
     The derivatives are made one at a time into one array, each consumed
     by _magnitude before the next overwrites it.
     """
-    h, values = field.spec.h, field.values
+    h, values = field.spec.h, np.ascontiguousarray(field.values)
     work = np.empty_like(values)
     return ScalarField(field.spec, _magnitude(
         _axis_derivative_into(values, k, h, work)
@@ -244,9 +278,10 @@ def write_field(U: MultiField, path) -> None:
         fh.write(_MAGIC + "\n")
         fh.write(f"{spec.dim} {U.m} {spec.points_per_axis} "
                  f"{spec.half_width:.17g}\n")
+        # one % operation per component: the bytes of f"{v:.17g}\n" per value
         for comp in U.components:
-            fh.write("".join([f"{v:.17g}\n"
-                              for v in comp.values.ravel().tolist()]))
+            values = comp.values.ravel().tolist()
+            fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def read_field(path) -> MultiField:

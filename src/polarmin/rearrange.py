@@ -208,6 +208,20 @@ def _shape_order(dim: int, n: int) -> np.ndarray:
     return np.lexsort(keys)
 
 
+@lru_cache(maxsize=None)
+def _shape_rank(dim: int, n: int) -> np.ndarray:
+    """The inverse of _shape_order, shaped as the grid: the place of each
+    grid point in the canonical order.
+
+    It is built from an uncached order, so a shape that only schwarz has
+    seen holds one index array, not two.
+    """
+    order = _shape_order.__wrapped__(dim, n)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank.reshape((n,) * dim)
+
+
 def schwarz(field: ScalarField) -> ScalarField:
     """Discrete Schwarz rearrangement: values sorted descending along the
     canonical radial point order."""
@@ -219,10 +233,10 @@ def schwarz(field: ScalarField) -> ScalarField:
 def _place_radially(spec: GridSpec, ascending: np.ndarray) -> ScalarField:
     """The Schwarz rearrangement of a non-negative field from its values
     in ascending order: the largest at the first point of canonical_order,
-    and so on outward."""
-    out = np.empty_like(ascending)
-    out[canonical_order(spec)] = ascending[::-1]
-    return ScalarField(spec, out.reshape(spec.shape))
+    and so on outward: a gather of the descending values through the
+    rank of each point in that order."""
+    rank = _shape_rank(spec.dim, spec.points_per_axis)
+    return ScalarField(spec, ascending[::-1][rank])
 
 
 def schwarz_multi(U: MultiField) -> MultiField:

@@ -178,8 +178,8 @@ def equiintegrability_profile(fields, r: float, deltas, levels, radii) -> TailPr
     ext = np.zeros((len(fields), len(radii)))
     for i, f in enumerate(fields):
         a = np.abs(f.values)
-        small[i], large[i] = _value_tails(np.sort(a, axis=None), r, deltas,
-                                          levels, hN)
+        s = np.sort(a, axis=None)
+        small[i], large[i] = _value_tails(s, s**r, deltas, levels, hN)
         ar = a**r
         for k, R in enumerate(radii):
             ext[i, k] = float(np.sum(ar[rad > R])) * hN
@@ -187,17 +187,17 @@ def equiintegrability_profile(fields, r: float, deltas, levels, radii) -> TailPr
                        small, large, ext)
 
 
-def _value_tails(a: np.ndarray, r: float, deltas, levels, hN: float):
+def _value_tails(a: np.ndarray, ar: np.ndarray, deltas, levels,
+                 hN: float):
     """Tail masses sum |v|^r h^N over {|v| < delta} and over {|v| > level},
-    from the ascending |values| a.
+    from the ascending |values| a and their powers ar = a**r.
 
-    For r >= 0, x -> x^r is nondecreasing on x >= 0, so a**r is ascending
+    For r >= 0, x -> x^r is nondecreasing on x >= 0, so ar is ascending
     and each tail is a slice of it: a prefix ending at searchsorted(side=
     "left"), a suffix starting at searchsorted(side="right").  Summing in
     ascending order keeps the tails bit-identical across equimeasurable
     fields.  Returns ([small per delta], [large per level]).
     """
-    ar = a**r
     small = [float(np.sum(ar[:np.searchsorted(a, d, side="left")])) * hN
              for d in deltas]
     large = [float(np.sum(ar[np.searchsorted(a, lv, side="right"):])) * hN
@@ -218,16 +218,26 @@ def bump_params(rng: np.random.Generator, dim: int, half_width: float) -> list:
 
 
 def eval_bumps(spec: GridSpec, params) -> ScalarField:
-    """Sample a sum of Gaussian bumps from ``bump_params`` on a grid."""
-    vals = np.zeros(spec.shape)
+    """Sample a sum of Gaussian bumps from ``bump_params`` on a grid.
+
+    The first bump is the sum's first array, and the others are added to
+    it: for amplitudes that are not negative, the bits of adding each bump
+    to zeros.  No bumps give zeros.
+    """
+    vals = None
     for center, width, amp in params:
-        # amp * exp(-d2 / (2 width^2)), in place in d2
+        # amp * exp(d2 / -(2 width^2)), in place in d2: IEEE division is
+        # sign-symmetric, so these are the bits of -d2 / (2 width^2)
         d2 = axis_sum([(spec.axis_coords - c) ** 2 for c in center])
-        np.negative(d2, out=d2)
-        d2 /= 2.0 * width**2
+        d2 /= -(2.0 * width**2)
         np.exp(d2, out=d2)
         d2 *= amp
-        vals += d2
+        if vals is None:
+            vals = d2
+        else:
+            vals += d2
+    if vals is None:
+        vals = np.zeros(spec.shape)
     return ScalarField(spec, vals)
 
 
@@ -251,8 +261,14 @@ class SuiteLine:
 
 @dataclasses.dataclass
 class SuiteSummary:
+    """The suite's lines, and in memory the work of all its trials: the
+    ``np.sort`` calls (``sorts``) and the ``gradient_magnitude`` calls
+    (``magnitudes``).  ``suite.csv`` holds the lines only."""
+
     lines: list
     seed: int
+    sorts: int = 0
+    magnitudes: int = 0
 
     @property
     def passed(self) -> bool:
@@ -270,15 +286,14 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
 
     hN = spec.cell_volume
 
-    def value_integral(a):
-        # j_value(s) = |s|^2 is nondecreasing in |s|, so over the ascending
-        # nonnegative values a its terms are already in the ascending order
-        # that _j_integral sums them in
-        vals = j_value.j(a, np.zeros_like(a))
-        _require_finite(vals, "integrand")
-        return float(np.sum(vals)) * hN
+    def value_integral(squares):
+        # j_value's terms, already in the ascending order that _j_integral
+        # sums them in
+        _require_finite(squares, "integrand")
+        return float(np.sum(squares)) * hN
 
     counters = {}
+    sorts = magnitudes = 0
 
     def record(check, passed, slack, tol):
         line = counters.setdefault(
@@ -300,27 +315,35 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         us = _place_radially(spec, sorted_u)
         sorted_uh, sorted_us = (np.sort(f.values, axis=None)
                                 for f in (uh, us))
+        sorts += 3
         same = (np.array_equal(sorted_u, sorted_uh)
                 and np.array_equal(sorted_u, sorted_us))
         record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
 
-        norm_match = (_lp_norm_sorted(sorted_u, 2.0, hN)
-                      == _lp_norm_sorted(sorted_uh, 2.0, hN)
-                      == _lp_norm_sorted(sorted_us, 2.0, hN))
+        # the squares of each sorted array, made once: j_value(s) = |s|^2
+        # is nondecreasing in |s|, so they are the ascending terms that the
+        # L^2 norm, the value integral and the value tails all sum
+        norms, integrals, tails = [], [], []
+        for a in (sorted_u, sorted_uh, sorted_us):
+            sq = np.square(a)
+            norms.append(_lp_norm_sorted(a, 2.0, hN, sq))
+            integrals.append(value_integral(sq))
+            tails.append(_value_tails(a, sq, (0.1,), (0.5,), hN))
+        norm_match = norms[0] == norms[1] == norms[2]
         record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
 
-        rep = _invariance_report(spec, j_value, value_integral(sorted_u),
-                                 value_integral(sorted_uh))
+        rep = _invariance_report(spec, j_value, integrals[0], integrals[1])
         record("value_invariance_exact", rep.passed, rep.slack, rep.tolerance)
 
-        small, large = zip(*(_value_tails(a, 2.0, (0.1,), (0.5,), hN)
-                             for a in (sorted_u, sorted_uh, sorted_us)))
+        small, large = zip(*tails)
         tails_const = np.ptp(small) == 0.0 and np.ptp(large) == 0.0
         record("value_tails_exact", tails_const,
                0.0 if tails_const else -1.0, 0.0)
 
         # one |Du| per field: I(u) serves both gradient checks
         i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
+        sorts += 3  # one per _j_integral, each of which builds one |Du|
+        magnitudes += 3
         rep = _invariance_report(spec, j_grad, i_u, i_uh)
         record("gradient_invariance_tol", rep.passed, rep.slack, rep.tolerance)
 
@@ -329,4 +352,5 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
 
     order = ["equimeasurability", "lp_norm_exact", "value_invariance_exact",
              "value_tails_exact", "gradient_invariance_tol", "polya_szego_tol"]
-    return SuiteSummary([counters[k] for k in order], seed)
+    return SuiteSummary([counters[k] for k in order], seed, sorts,
+                        magnitudes)

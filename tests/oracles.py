@@ -7,7 +7,11 @@ of polarmin.energy; its memory grows as P^2 for P grid points: about
 the symmetry deficit, are written on whole fields, as the library wrote
 them before it worked on arrays in place.  The Barzilai-Borwein step takes
 its numerator from DST coefficients, and the RFLD writer writes one value
-at a time, as the library did before.
+at a time, as the library did before.  The finite-difference stencils run
+on the array with the derivative's axis moved to the front, and the
+Schwarz placement scatters the values to the canonical order, as the
+library did before it ran them as contiguous passes and a gather; the
+fields and the bit comparison that their tests share are at the end.
 """
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 from polarmin.energy import origin_value
 from polarmin.grid import ScalarField, lp_norm
 from polarmin.minimize import _dst
-from polarmin.rearrange import schwarz, shift_field
+from polarmin.rearrange import canonical_order, schwarz, shift_field
 
 
 def coords(spec):
@@ -117,3 +121,83 @@ def write_field_per_value(U, path):
         for comp in U.components:
             for v in comp.values.ravel():
                 fh.write(f"{v:.17g}\n")
+
+
+def axis_derivative(values, axis, h):
+    """grid.axis_derivative on the array with the axis moved to the front."""
+    out = np.empty_like(values)
+    u = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(u[2:], u[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    np.subtract(u[1:2], u[:1], out=o[:1])
+    o[:1] /= h
+    np.subtract(u[-1:], u[-2:-1], out=o[-1:])
+    o[-1:] /= h
+    return out
+
+
+def axis_derivative_adjoint(w, axis, h):
+    """grid.axis_derivative_adjoint on the arrays with the axis moved to
+    the front."""
+    d = np.zeros_like(w)
+    wv = np.moveaxis(w, axis, 0)
+    out = np.moveaxis(d, axis, 0)
+    # interior stencil (u[i+1]-u[i-1])/(2h) for i=1..n-2
+    out[2:] += wv[1:-1] / (2.0 * h)
+    out[:-2] -= wv[1:-1] / (2.0 * h)
+    # one-sided stencils at the faces
+    out[1] += wv[0] / h
+    out[0] -= wv[0] / h
+    out[-1] += wv[-1] / h
+    out[-2] -= wv[-1] / h
+    return d
+
+
+def gradient_components(field):
+    """grid.gradient_components from the moved-axis stencil."""
+    return [axis_derivative(field.values, k, field.spec.h)
+            for k in range(field.spec.dim)]
+
+
+def place_radially(spec, ascending):
+    """rearrange._place_radially by a scatter to canonical_order."""
+    out = np.empty_like(ascending)
+    out[canonical_order(spec)] = ascending[::-1]
+    return ScalarField(spec, out.reshape(spec.shape))
+
+
+# --- fields and a bit comparison for the stencil and placement oracles ------
+
+# points per axis of the stencil oracle tests; h = 2.6 / (n - 1) at
+# STENCIL_HALF_WIDTH is a power of 2 for none of them
+STENCIL_POINTS = (3, 5, 9, 33)
+STENCIL_HALF_WIDTH = 1.3
+
+
+def same_bits(a, b):
+    """True when a and b hold the same float64 bits, zero signs included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def stencil_field(spec, rng):
+    """Non-negative values with +0.0 and -0.0 entries, a repeated value,
+    and a radial part inside half the box, whose values tie wherever the
+    grid's radii tie."""
+    vals = rng.random(spec.shape)
+    flat = vals.reshape(-1)
+    flat[::3] = 0.0
+    flat[1::5] = -0.0
+    flat[2::7] = 0.75
+    inner = spec.radii < spec.half_width / 2
+    vals[inner] = np.exp(-spec.radii[inner])
+    return vals
+
+
+def views(a):
+    """a, its transpose and its reversals along the first and last axes:
+    the reversals are non-contiguous views, and so is the transpose when a
+    has more than one axis."""
+    return [a, a.T, a[::-1], a[..., ::-1]]

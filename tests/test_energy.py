@@ -6,13 +6,15 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 
 from polarmin import energy, models
 from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
-                             LocalTermF, check_assumptions, eval_total,
-                             kernel_convolve, nonlocal_operator, origin_value,
-                             sample_kernel)
+                             LocalTermF, check_assumptions, discrete_gradient,
+                             eval_total, kernel_convolve, nonlocal_operator,
+                             origin_value, sample_kernel)
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            lp_norm, make_grid)
 
-from oracles import dense_kernel_matrix, dense_q, dense_sum
+import oracles
+from oracles import (STENCIL_HALF_WIDTH, STENCIL_POINTS, dense_kernel_matrix,
+                     dense_q, dense_sum, same_bits, stencil_field, views)
 
 # cell average of 1/|x| over [-h/2, h/2]^3 equals this constant divided by h
 # (frozen from the 16-point midpoint rule; scale-invariant in h)
@@ -319,6 +321,30 @@ class TestEvalTotal:
         U = MultiField([ScalarField(spec, np.zeros(5))])
         with pytest.raises(ValueError, match="non-finite"):
             eval_total(U, bad)
+
+
+class TestStencilOracle:
+    @pytest.mark.parametrize("n", STENCIL_POINTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_discrete_gradient_bits(self, dim, n, monkeypatch):
+        # the same gradient through the moved-axis stencils of the oracles,
+        # bit for bit, zero signs included, also from non-contiguous views
+        spec = make_grid(dim, n, STENCIL_HALF_WIDTH)
+        rng = np.random.default_rng(dim * n)
+        model = models.example_paper(m=2, dim=dim)
+        vals = [stencil_field(spec, rng) for _ in range(2)]
+        fields = [MultiField([ScalarField(spec, v), ScalarField(spec, w)])
+                  for v, w in zip(views(vals[0]), views(vals[1]))]
+        got = [discrete_gradient(U, model, eval_total(U, model))
+               for U in fields]
+        monkeypatch.setattr(energy, "gradient_components",
+                            oracles.gradient_components)
+        monkeypatch.setattr(energy, "axis_derivative_adjoint",
+                            oracles.axis_derivative_adjoint)
+        for U, G in zip(fields, got):
+            expected = discrete_gradient(U, model, eval_total(U, model))
+            for c, e in zip(G.components, expected.components):
+                assert same_bits(c.values, e.values)
 
 
 class TestModelValidation:

@@ -13,7 +13,9 @@ from polarmin.grid import (MAX_HALF_WIDTH, MAX_POINTS, FieldFormatError,
                            gradient_components, gradient_magnitude, lp_norm,
                            make_grid, read_field, write_field)
 
-from oracles import coords, write_field_per_value
+import oracles
+from oracles import (STENCIL_HALF_WIDTH, STENCIL_POINTS, coords, same_bits,
+                     stencil_field, views, write_field_per_value)
 
 
 def field_1d(values, half_width=2.0):
@@ -185,6 +187,45 @@ class TestDerivatives:
         lhs = float(np.dot(axis_derivative(u, 0, h), w))
         rhs = float(np.dot(u, axis_derivative_adjoint(w, 0, h)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestStencilOracle:
+    """The contiguous stencils against the moved-axis ones of the oracles,
+    bit for bit, zero signs included."""
+
+    @staticmethod
+    def field(dim, n):
+        spec = make_grid(dim, n, STENCIL_HALF_WIDTH)
+        return spec, stencil_field(spec, np.random.default_rng(dim * n))
+
+    @pytest.mark.parametrize("n", STENCIL_POINTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_derivative_and_adjoint_bits(self, dim, n):
+        spec, vals = self.field(dim, n)
+        for v in views(vals):
+            for axis in range(dim):
+                assert same_bits(axis_derivative(v, axis, spec.h),
+                                 oracles.axis_derivative(v, axis, spec.h))
+                assert same_bits(
+                    axis_derivative_adjoint(v, axis, spec.h),
+                    oracles.axis_derivative_adjoint(v, axis, spec.h))
+
+    @pytest.mark.parametrize("n", STENCIL_POINTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_magnitude_bits(self, dim, n):
+        spec, vals = self.field(dim, n)
+        for v in views(vals):
+            u = ScalarField(spec, v)
+            comps = oracles.gradient_components(u)
+            expected = np.sqrt(np.sum([c**2 for c in comps], axis=0))
+            assert same_bits(gradient_magnitude(u).values, expected)
+
+    def test_fields_hold_both_zero_signs(self):
+        # and so do their derivatives, the adjoints' inputs in energy
+        spec, vals = self.field(2, 9)
+        for a in (vals, axis_derivative(vals, 1, spec.h)):
+            zeros = a[a == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 class TestFields:

@@ -282,6 +282,30 @@ class TestSchwarz:
         assert rearrange._shape_order.cache_info().currsize == 1
         assert all(order is orders[0] for order in orders)
 
+    def test_rank_cached_once_per_grid_shape(self):
+        # one rank array per grid shape, whatever the half-width
+        rearrange._shape_rank.cache_clear()
+        for L in np.linspace(0.5, 25.0, 50):
+            spec = make_grid(2, 65, L)
+            schwarz(ScalarField(spec, np.ones(spec.shape)))
+        assert rearrange._shape_rank.cache_info().currsize == 1
+        rank = rearrange._shape_rank(2, 65).ravel()
+        assert np.array_equal(rank[canonical_order(spec)],
+                              np.arange(spec.num_points))
+
+    @pytest.mark.parametrize("n", oracles.STENCIL_POINTS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bits_of_scatter_placement(self, dim, n):
+        # the gather through the rank array against the scatter to
+        # canonical_order, zero signs and tied values included, also on
+        # non-contiguous views
+        spec = make_grid(dim, n, oracles.STENCIL_HALF_WIDTH)
+        vals = oracles.stencil_field(spec, np.random.default_rng(dim * n))
+        for v in oracles.views(vals):
+            expected = oracles.place_radially(spec, np.sort(v, axis=None))
+            assert oracles.same_bits(schwarz(ScalarField(spec, v)).values,
+                                     expected.values)
+
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             schwarz(ScalarField(SPEC_1D, [0, -1, 0, 0, 0]))

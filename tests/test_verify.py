@@ -183,10 +183,10 @@ class TestSuiteOracle:
         monkeypatch.setattr(np, "sort",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         trials = 4
-        run_property_suite(0, trials, make_grid(2, 17, 4.0))
+        suite = run_property_suite(0, trials, make_grid(2, 17, 4.0))
         # u, u^H and u* once each for the value checks and once each under
         # the gradient integrals; u* is placed from the sort of u
-        assert len(calls) <= 6 * trials
+        assert len(calls) == suite.sorts == 6 * trials
 
     @staticmethod
     def count_gradients(monkeypatch):
@@ -199,8 +199,9 @@ class TestSuiteOracle:
     def test_one_gradient_per_field(self, monkeypatch):
         calls = self.count_gradients(monkeypatch)
         trials = 4
-        run_property_suite(0, trials, make_grid(2, 17, 4.0))
-        assert len(calls) <= 3 * trials  # u, u^H and u*
+        suite = run_property_suite(0, trials, make_grid(2, 17, 4.0))
+        # u, u^H and u*
+        assert len(calls) == suite.magnitudes == 3 * trials
 
     def test_value_integrand_builds_no_gradient(self, monkeypatch):
         calls = self.count_gradients(monkeypatch)
@@ -216,6 +217,13 @@ class TestSuiteOracle:
             params = bump_params(rng, dim, spec.half_width)
             assert np.array_equal(eval_bumps(spec, params).values,
                                   oracle_field(spec, params).values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eval_bumps_of_no_bumps_is_zero(self, dim):
+        spec = make_grid(dim, 5, 4.0)
+        vals = eval_bumps(spec, []).values
+        assert vals.shape == spec.shape
+        assert np.all(vals == 0.0) and not np.signbit(vals).any()
 
 
 class TestPolarizationInvariance:
