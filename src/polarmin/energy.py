@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from numbers import Real
 
 import numpy as np
 
@@ -72,22 +71,13 @@ class CouplingG:
 class KernelV:
     """Radial non-increasing interaction kernel V(r), r > 0.
 
-    origin_rule is "cell_average", "zero", or ("explicit", real value) and
-    fixes the kernel value at zero offset.  The weak-L^q membership of V
-    that the model assumes is not stored: no finite check certifies it
-    (see check_assumptions).  Frozen, so (v, origin_rule) is its hash and
-    nonlocal_operator can cache on it.
+    The value at zero offset is the cell average of V (origin_value).  The
+    weak-L^q membership of V that the model assumes is not stored: no
+    finite check certifies it (see check_assumptions).  Frozen, so v is its
+    hash and nonlocal_operator can cache on it.
     """
 
     v: callable
-    origin_rule: object = "cell_average"
-
-    def __post_init__(self):
-        rule = self.origin_rule
-        explicit = (type(rule) is tuple and len(rule) == 2
-                    and rule[0] == "explicit" and isinstance(rule[1], Real))
-        if not (explicit or rule in ("cell_average", "zero")):
-            raise ValueError(f"unknown origin rule {rule!r}")
 
 
 @dataclasses.dataclass
@@ -136,16 +126,8 @@ def _require_finite(vals: np.ndarray, what: str) -> None:
 
 
 def origin_value(V: KernelV, spec: GridSpec) -> float:
-    """Kernel value assigned to zero offset.
-
-    cell_average integrates V(|x|) over the cell [-h/2, h/2]^N with a fixed
-    16-point-per-axis midpoint rule.
-    """
-    rule = V.origin_rule
-    if rule == "zero":
-        return 0.0
-    if rule != "cell_average":
-        return float(rule[1])
+    """Kernel value assigned to zero offset: the average of V(|x|) over the
+    cell [-h/2, h/2]^N, by a fixed 16-point-per-axis midpoint rule."""
     h = spec.h
     q = 16
     pts = (np.arange(q) + 0.5) / q * h - h / 2.0

@@ -105,9 +105,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.spec, self.values.copy())
-
 
 @dataclasses.dataclass
 class MultiField:
@@ -127,9 +124,6 @@ class MultiField:
     @property
     def m(self) -> int:
         return len(self.components)
-
-    def copy(self) -> "MultiField":
-        return MultiField([f.copy() for f in self.components])
 
 
 def lp_norm(field: ScalarField, p: float) -> float:

@@ -48,7 +48,7 @@ def _sum_of_squares(m: int) -> CouplingG:
 
 
 def _coulomb() -> KernelV:
-    return KernelV(v=lambda r: 1.0 / r, origin_rule="cell_average")
+    return KernelV(v=lambda r: 1.0 / r)
 
 
 def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:

@@ -191,32 +191,18 @@ def polarize_multi(U: MultiField, H: HalfSpace) -> MultiField:
     return MultiField([polarize(c, H) for c in U.components])
 
 
-def canonical_order(spec: GridSpec) -> np.ndarray:
-    """Flat indices sorted by (distance to origin, lexicographic coords).
-
-    Radii are compared through the integer squared index offsets, so ties
-    are exact; the order depends only on the grid's shape, and is cached
-    once per shape."""
-    return _shape_order(spec.dim, spec.points_per_axis)
-
-
-@lru_cache(maxsize=None)
-def _shape_order(dim: int, n: int) -> np.ndarray:
-    idx = np.indices((n,) * dim).reshape(dim, -1) - (n - 1) // 2
-    r2 = np.sum(idx**2, axis=0)
-    keys = tuple(idx[k] for k in reversed(range(dim))) + (r2,)
-    return np.lexsort(keys)
-
-
 @lru_cache(maxsize=None)
 def _shape_rank(dim: int, n: int) -> np.ndarray:
-    """The inverse of _shape_order, shaped as the grid: the place of each
-    grid point in the canonical order.
+    """The place of each grid point in the radial order, shaped as the
+    grid, for every grid of this shape whatever its half-width.
 
-    It is built from an uncached order, so a shape that only schwarz has
-    seen holds one index array, not two.
+    The order sorts points by squared integer radius, the sum of their
+    squared index offsets from the centre, so radius ties are exact; it
+    breaks ties by the lexicographic order of the coordinates.
     """
-    order = _shape_order.__wrapped__(dim, n)
+    idx = np.indices((n,) * dim).reshape(dim, -1) - (n - 1) // 2
+    r2 = np.sum(idx**2, axis=0)
+    order = np.lexsort(tuple(idx[k] for k in reversed(range(dim))) + (r2,))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank.reshape((n,) * dim)
@@ -232,9 +218,9 @@ def schwarz(field: ScalarField) -> ScalarField:
 
 def _place_radially(spec: GridSpec, ascending: np.ndarray) -> ScalarField:
     """The Schwarz rearrangement of a non-negative field from its values
-    in ascending order: the largest at the first point of canonical_order,
-    and so on outward: a gather of the descending values through the
-    rank of each point in that order."""
+    in ascending order: the largest at the first point of the radial order
+    (_shape_rank), and so on outward: a gather of the descending values
+    through the rank of each point in that order."""
     rank = _shape_rank(spec.dim, spec.points_per_axis)
     return ScalarField(spec, ascending[::-1][rank])
 
@@ -515,22 +501,11 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
 
 def shift_field(values: np.ndarray, steps) -> np.ndarray:
     """Translate by whole grid steps with zero fill outside the box."""
-    out = values
-    for axis, s in enumerate(steps):
-        s = int(s)
-        if s == 0:
-            continue
-        shifted = np.zeros_like(out)
-        src = [slice(None)] * out.ndim
-        dst = [slice(None)] * out.ndim
-        if s > 0:
-            src[axis] = slice(s, None)
-            dst[axis] = slice(None, -s)
-        else:
-            src[axis] = slice(None, s)
-            dst[axis] = slice(-s, None)
-        shifted[tuple(dst)] = out[tuple(src)]
-        out = shifted
+    steps = [int(s) for s in steps]
+    src = tuple(slice(s, None) if s >= 0 else slice(None, s) for s in steps)
+    dst = tuple(slice(None, -s) if s > 0 else slice(-s, None) for s in steps)
+    out = np.zeros_like(values)
+    out[dst] = values[src]
     return out
 
 

@@ -59,9 +59,8 @@ def _j_integral(u: ScalarField, j: IntegrandJ) -> float:
     return float(np.sum(np.sort(vals.ravel()))) * u.spec.cell_volume
 
 
-def _invariance_report(spec: GridSpec, j: IntegrandJ, i_val: float,
+def _invariance_report(tol: float, i_val: float,
                        ih_val: float) -> InequalityReport:
-    tol = 0.0 if not j.depends_on_gradient else grad_tol(spec.h, i_val)
     # equality check: order left/right so slack = -(|I^H - I|), which is
     # +0.0, not -0.0, when the integrals agree
     return InequalityReport("polarization_invariance",
@@ -78,8 +77,9 @@ def _polya_szego_report(spec: GridSpec, right: float,
 def check_polarization_invariance(u: ScalarField, j: IntegrandJ,
                                   H: HalfSpace) -> InequalityReport:
     """I^H = I for homogeneous integrals; exact when j ignores the gradient."""
-    return _invariance_report(u.spec, j, _j_integral(u, j),
-                              _j_integral(polarize(u, H), j))
+    i_val = _j_integral(u, j)
+    tol = grad_tol(u.spec.h, i_val) if j.depends_on_gradient else 0.0
+    return _invariance_report(tol, i_val, _j_integral(polarize(u, H), j))
 
 
 def check_polya_szego(u: ScalarField, j: IntegrandJ) -> InequalityReport:
@@ -120,13 +120,6 @@ def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
     return InequalityReport("nonlocal_monotonicity",
                             left=q_before, right=q_after,
                             tolerance=1e-10 * (1.0 + abs(q_before)))
-
-
-def _gradient_free_power(p: float) -> IntegrandJ:
-    return IntegrandJ(j=lambda s, b: np.abs(s) ** p,
-                      dj_ds=lambda s, b: p * np.abs(s) ** (p - 1) * np.sign(s),
-                      dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)),
-                      depends_on_gradient=False)
 
 
 # --- equiintegrability diagnostics ------------------------------------------
@@ -282,13 +275,11 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
     rng = np.random.default_rng(seed)
     family = admissible_half_spaces(spec)
     j_grad = plaplace(p=2.0, dim=spec.dim).js[0]
-    j_value = _gradient_free_power(2.0)
-
     hN = spec.cell_volume
 
     def value_integral(squares):
-        # j_value's terms, already in the ascending order that _j_integral
-        # sums them in
+        # the terms of j(s) = |s|^2, already in the ascending order that
+        # _j_integral sums them in
         _require_finite(squares, "integrand")
         return float(np.sum(squares)) * hN
 
@@ -296,11 +287,13 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
     sorts = magnitudes = 0
 
     def record(check, passed, slack, tol):
-        line = counters.setdefault(
-            check, SuiteLine(check, 0, 0, np.inf, tol))
+        # worst_slack and tolerance both come from the trial with the least
+        # slack, the first of them on a tie
+        line = counters.setdefault(check, SuiteLine(check, 0, 0, np.inf, 0.0))
         line.trials += 1
         line.passes += int(passed)
-        line.worst_slack = min(line.worst_slack, slack)
+        if slack < line.worst_slack:
+            line.worst_slack, line.tolerance = slack, tol
 
     for _ in range(trials):
         u = random_bump_field(spec, rng)
@@ -320,7 +313,7 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
                 and np.array_equal(sorted_u, sorted_us))
         record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
 
-        # the squares of each sorted array, made once: j_value(s) = |s|^2
+        # the squares of each sorted array, made once: j(s) = |s|^2
         # is nondecreasing in |s|, so they are the ascending terms that the
         # L^2 norm, the value integral and the value tails all sum
         norms, integrals, tails = [], [], []
@@ -332,7 +325,7 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         norm_match = norms[0] == norms[1] == norms[2]
         record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
 
-        rep = _invariance_report(spec, j_value, integrals[0], integrals[1])
+        rep = _invariance_report(0.0, integrals[0], integrals[1])
         record("value_invariance_exact", rep.passed, rep.slack, rep.tolerance)
 
         small, large = zip(*tails)
@@ -344,7 +337,7 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
         sorts += 3  # one per _j_integral, each of which builds one |Du|
         magnitudes += 3
-        rep = _invariance_report(spec, j_grad, i_u, i_uh)
+        rep = _invariance_report(grad_tol(spec.h, i_u), i_u, i_uh)
         record("gradient_invariance_tol", rep.passed, rep.slack, rep.tolerance)
 
         rep = _polya_szego_report(spec, i_u, i_us)

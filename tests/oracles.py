@@ -8,10 +8,12 @@ the symmetry deficit, are written on whole fields, as the library wrote
 them before it worked on arrays in place.  The Barzilai-Borwein step takes
 its numerator from DST coefficients, and the RFLD writer writes one value
 at a time, as the library did before.  The finite-difference stencils run
-on the array with the derivative's axis moved to the front, and the
-Schwarz placement scatters the values to the canonical order, as the
-library did before it ran them as contiguous passes and a gather; the
-fields and the bit comparison that their tests share are at the end.
+on the array with the derivative's axis moved to the front, the Schwarz
+placement scatters the values to the canonical order, and the shift of a
+field makes one zero-filled copy per shifted axis, as the library did
+before it ran them as contiguous passes, a gather and one slice
+assignment; the fields and the bit comparison that their tests share are
+at the end.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from polarmin.energy import origin_value
 from polarmin.grid import ScalarField, lp_norm
 from polarmin.minimize import _dst
-from polarmin.rearrange import canonical_order, schwarz, shift_field
+from polarmin.rearrange import schwarz
 
 
 def coords(spec):
@@ -86,9 +88,31 @@ def rel_dists(U, targets, target_norms, p):
     return tuple(out)
 
 
+def shift_field(values, steps):
+    """rearrange.shift_field one axis at a time, each shifted axis into a
+    new zero-filled array."""
+    out = values
+    for axis, s in enumerate(steps):
+        s = int(s)
+        if s == 0:
+            continue
+        shifted = np.zeros_like(out)
+        src = [slice(None)] * out.ndim
+        dst = [slice(None)] * out.ndim
+        if s > 0:
+            src[axis] = slice(s, None)
+            dst[axis] = slice(None, -s)
+        else:
+            src[axis] = slice(None, s)
+            dst[axis] = slice(-s, None)
+        shifted[tuple(dst)] = out[tuple(src)]
+        out = shifted
+    return out
+
+
 def symmetry_deficit(field, p):
     """rearrange.symmetry_deficit with the centroid summed over the
-    stacked coordinates array."""
+    stacked coordinates array and the field shifted by shift_field."""
     total = float(np.sum(field.values))
     spec = field.spec
     x = coords(spec)
@@ -158,6 +182,16 @@ def gradient_components(field):
     """grid.gradient_components from the moved-axis stencil."""
     return [axis_derivative(field.values, k, field.spec.h)
             for k in range(field.spec.dim)]
+
+
+def canonical_order(spec):
+    """Flat indices sorted by squared integer radius, then by lexicographic
+    coordinates: the order whose inverse is rearrange._shape_rank."""
+    n = spec.points_per_axis
+    idx = np.indices(spec.shape).reshape(spec.dim, -1) - (n - 1) // 2
+    r2 = np.sum(idx**2, axis=0)
+    keys = tuple(idx[k] for k in reversed(range(spec.dim))) + (r2,)
+    return np.lexsort(keys)
 
 
 def place_radially(spec, ascending):

@@ -281,7 +281,7 @@ GOLDEN = {
                 "value_invariance_exact,3,3,0,0\n"
                 "value_tails_exact,3,3,0,0\n"
                 "gradient_invariance_tol,3,3,0,4.8333631257334435\n"
-                "polya_szego_tol,3,3,0.0018899233402160931,4.8333631257334435\n"
+                "polya_szego_tol,3,3,0.0018899233402160931,3.099025813747585\n"
             ),
             "summary.txt": (
                 "passed = True\n"

@@ -80,17 +80,14 @@ class TestE2:
             expected, rel=1e-14)
 
 
-ORIGIN_RULES = ("cell_average", "zero", ("explicit", 3.5))
-
-
 class TestKernel:
     # circulant layout along an axis of length M: index q holds offset q for
     # q < n and q - M for q > M - n; n = 17 gives M = 32 = 2n - 2, so no
     # index is unused and offsets 16 and -16 share index 16
     def test_constant_kernel(self):
         spec = make_grid(2, 17, 1.0)
-        V = KernelV(v=lambda r: np.ones_like(r),
-                    origin_rule=("explicit", 1.0))
+        # the cell average of ones, the zero offset's value, is exactly 1.0
+        V = KernelV(v=lambda r: np.ones_like(r))
         k = sample_kernel(V, spec)
         assert k.shape == (32, 32)
         assert np.all(k == 1.0)
@@ -101,20 +98,6 @@ class TestKernel:
             V = KernelV(v=lambda r: 1.0 / r)
             assert origin_value(V, spec) == pytest.approx(
                 COULOMB_CELL_CONSTANT / spec.h, rel=1e-12)
-
-    def test_origin_rules(self):
-        spec = make_grid(3, 5, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, origin_rule="zero")
-        assert origin_value(V, spec) == 0.0
-        V = KernelV(v=lambda r: 1.0 / r, origin_rule=("explicit", 7.0))
-        assert origin_value(V, spec) == 7.0
-
-    @pytest.mark.parametrize("rule", ["median", ("explicit", "7"),
-                                      ["explicit", 7.0], ("explicit",),
-                                      ("mean", 7.0)], ids=str)
-    def test_unknown_origin_rule_rejected(self, rule):
-        with pytest.raises(ValueError, match="unknown origin rule"):
-            KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
 
     def test_sampled_coulomb_non_increasing_in_radius(self):
         spec = make_grid(3, 5, 2.0)
@@ -162,10 +145,9 @@ class TestKernel:
 
     # n = 99 at L = 2: the centre coordinate is -2.2e-16, not 0
     @pytest.mark.parametrize("dim,n", [(1, 99), (2, 9), (3, 5)])
-    @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
-    def test_origin_entry_is_origin_value(self, dim, n, rule):
+    def test_origin_entry_is_origin_value(self, dim, n):
         spec = make_grid(dim, n, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
+        V = KernelV(v=lambda r: 1.0 / r)
         assert sample_kernel(V, spec)[(0,) * dim] == origin_value(V, spec)
 
 
@@ -180,10 +162,9 @@ class TestNonlocalOperator:
                                        for n in (3, 9, 13, 17)
                                        if (d, n) != (3, 17)]
                              + [(1, 99), (1, 197)])
-    @pytest.mark.parametrize("rule", ORIGIN_RULES, ids=str)
-    def test_matches_dense_sum(self, dim, n, rule):
+    def test_matches_dense_sum(self, dim, n):
         spec = make_grid(dim, n, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r, origin_rule=rule)
+        V = KernelV(v=lambda r: 1.0 / r)
         g = np.random.default_rng(n).random(spec.shape)
         expected = dense_sum(g, V, spec)
         op = nonlocal_operator(V, spec)
@@ -201,21 +182,6 @@ class TestNonlocalOperator:
             nonlocal_operator(V, make_grid(2, n, 2.0))
             info = nonlocal_operator.cache_info()
             assert info.maxsize == 4 and info.currsize <= 4
-
-    def test_origin_rule_is_part_of_the_key(self):
-        spec = make_grid(3, 5, 2.0)
-
-        def v(r):
-            return 1.0 / r
-
-        ops = [nonlocal_operator(KernelV(v=v, origin_rule=rule), spec)
-               for rule in ORIGIN_RULES]
-        assert len({id(op) for op in ops}) == len(ORIGIN_RULES)
-        g = np.zeros(spec.shape)
-        g[2, 2, 2] = 1.0
-        centre = [kernel_convolve(g, op)[2, 2, 2] for op in ops]
-        assert centre == pytest.approx(
-            [origin_value(op.V, spec) for op in ops], rel=1e-12)
 
 
 # the TestNonlocalOperator grids, plus 3D n=17 and n=33

@@ -13,8 +13,8 @@ from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
 from polarmin.rearrange import (HalfSpace, PolarizationSchedule, TraceRow,
                                 _block, _moves, _objective_scale,
                                 _polarized_objective, admissible_half_spaces,
-                                canonical_order, iterate_polarizations,
-                                polarize, polarize_multi, schwarz, schwarz_multi,
+                                iterate_polarizations, polarize, polarize_multi,
+                                schwarz, schwarz_multi, shift_field,
                                 symmetry_deficit)
 from polarmin.verify import random_bump_field
 
@@ -74,7 +74,7 @@ def oracle_iterate(U0, schedule):
     p = schedule.p
     targets = [schwarz(c) for c in U0.components]
     target_norms = [lp_norm(t, p) for t in targets]
-    U = U0.copy()
+    U = U0
     rows = [TraceRow(0, None, rel_dists(U, targets, target_norms, p))]
     accepted = []
     if max(rows[0].rel_dist) <= schedule.tol:
@@ -272,15 +272,8 @@ class TestSchwarz:
     @settings(max_examples=40, deadline=None)
     def test_non_increasing_along_canonical_order(self, vals):
         us = schwarz(ScalarField(SPEC_2D, vals)).values.ravel()
-        ordered = us[canonical_order(SPEC_2D)]
+        ordered = us[oracles.canonical_order(SPEC_2D)]
         assert np.all(np.diff(ordered) <= 0.0)
-
-    def test_order_cached_once_per_grid_shape(self):
-        rearrange._shape_order.cache_clear()
-        orders = [canonical_order(make_grid(2, 65, L))
-                  for L in np.linspace(0.5, 25.0, 50)]
-        assert rearrange._shape_order.cache_info().currsize == 1
-        assert all(order is orders[0] for order in orders)
 
     def test_rank_cached_once_per_grid_shape(self):
         # one rank array per grid shape, whatever the half-width
@@ -290,7 +283,7 @@ class TestSchwarz:
             schwarz(ScalarField(spec, np.ones(spec.shape)))
         assert rearrange._shape_rank.cache_info().currsize == 1
         rank = rearrange._shape_rank(2, 65).ravel()
-        assert np.array_equal(rank[canonical_order(spec)],
+        assert np.array_equal(rank[oracles.canonical_order(spec)],
                               np.arange(spec.num_points))
 
     @pytest.mark.parametrize("n", oracles.STENCIL_POINTS)
@@ -633,7 +626,7 @@ class TestScoring:
         spec = make_grid(3, 17, 2.0)
         field_bytes = spec.num_points * 8
         U0 = MultiField([random_bump_field(spec, np.random.default_rng(0))])
-        schwarz(U0.components[0])  # canonical_order is cached for the spec
+        schwarz(U0.components[0])  # the spec's rank array is cached
         schedule = PolarizationSchedule(mode="greedy", seed=0, max_iter=200,
                                         tol=1e-12)
         tracemalloc.start()
@@ -687,3 +680,16 @@ class TestSymmetryDeficit:
         deficit, shift = symmetry_deficit(field, 2.0)
         assert (deficit, shift) == oracles.symmetry_deficit(field, 2.0)
         assert all(s > 0 for s in shift)
+
+
+class TestShiftField:
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bits_of_per_axis_shift(self, dim, n):
+        # every step vector in [-n-1, n+1]^dim, shifts off the box included,
+        # on values with +0.0 and -0.0 entries
+        spec = make_grid(dim, n, oracles.STENCIL_HALF_WIDTH)
+        vals = oracles.stencil_field(spec, np.random.default_rng(dim * n))
+        for steps in itertools.product(range(-n - 1, n + 2), repeat=dim):
+            assert oracles.same_bits(shift_field(vals, steps),
+                                     oracles.shift_field(vals, steps)), steps

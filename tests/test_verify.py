@@ -99,7 +99,8 @@ def oracle_tails(fields, r, deltas, levels, radii):
     return small, large, ext
 
 
-def oracle_suite(seed, trials, spec):
+def oracle_trials(seed, trials, spec):
+    """{check: [(passed, slack, tolerance) of each trial]}, in suite order."""
     rng = np.random.default_rng(seed)
     family = admissible_half_spaces(spec)
     j_grad = IntegrandJ(j=lambda s, b: b**2, dj_ds=None, dj_db=None)
@@ -108,10 +109,7 @@ def oracle_suite(seed, trials, spec):
     counters = {}
 
     def record(check, passed, slack, tol):
-        line = counters.setdefault(check, SuiteLine(check, 0, 0, np.inf, tol))
-        line.trials += 1
-        line.passes += int(passed)
-        line.worst_slack = min(line.worst_slack, slack)
+        counters.setdefault(check, []).append((passed, slack, tol))
 
     def invariance(u, j, H):
         i_val = oracle_integral(u, j)
@@ -151,7 +149,18 @@ def oracle_suite(seed, trials, spec):
         tol = grad_tol(u.spec.h, right)
         record("polya_szego_tol", right - left >= -tol, right - left, tol)
 
-    return list(counters.values())
+    return counters
+
+
+def oracle_suite(seed, trials, spec):
+    """The suite's lines; a line's worst slack and tolerance are those of
+    the first trial with the least slack."""
+    lines = []
+    for check, rows in oracle_trials(seed, trials, spec).items():
+        _, slack, tol = min(rows, key=lambda row: row[1])
+        lines.append(SuiteLine(check, len(rows), sum(ok for ok, _, _ in rows),
+                               slack, tol))
+    return lines
 
 
 def suite_reprs(lines):
@@ -443,6 +452,17 @@ class TestPropertySuite:
         a = run_property_suite(seed=3, trials=10, spec=spec)
         b = run_property_suite(seed=3, trials=10, spec=spec)
         assert repr(a) == repr(b)
+
+    def test_tolerance_of_the_worst_trial(self):
+        # the verify golden's run: polya_szego_tol's least slack comes from
+        # trial 1, whose tolerance differs from trial 0's
+        spec = make_grid(1, 9, 4.0)
+        rows = oracle_trials(5, 3, spec)["polya_szego_tol"]
+        slacks = [slack for _, slack, _ in rows]
+        assert slacks.index(min(slacks)) == 1 and rows[0][2] != rows[1][2]
+        line = run_property_suite(5, 3, spec).lines[-1]
+        assert line.check == "polya_szego_tol"
+        assert (line.worst_slack, line.tolerance) == rows[1][1:]
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
