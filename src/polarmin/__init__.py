@@ -12,8 +12,9 @@ from .energy import (AssumptionReport, CouplingG, EnergyBreakdown,
                      NonlocalOperator, check_assumptions, discrete_gradient,
                      eval_total, nonlocal_operator, sample_kernel)
 from .minimize import (ConstraintVector, MinimizeConfig, MinimizeResult,
-                       descent_step, dilate, dilation_scan, lagrange_residual,
-                       minimize, project_constraints, symmetry_report)
+                       descent_step, dilate, dilation_scan, ground_state,
+                       lagrange_residual, minimize, project_constraints,
+                       symmetry_report)
 from .verify import (InequalityReport, TailProfile,
                      check_local_monotonicity, check_nonlocal_monotonicity,
                      check_polarization_invariance, check_polya_szego,

@@ -6,8 +6,9 @@ Every output file is written with LF line ends and is byte-identical for
 identical config and seed: the CSVs (``write_csv``), ``summary.txt`` and
 ``diagnostics.txt`` (``write_keys``) and ``final.rfld``.  The only
 non-deterministic content is the ``# generated <timestamp>`` line that
-opens each CSV.  ``write_minimize_run`` writes all three files of a
-minimize run, for ``polarmin minimize`` and ``scripts/ground_state.py``.
+opens each CSV.  ``polarmin minimize`` with ``init = dilation_scan`` runs
+the library's ground-state flow (``minimize.ground_state``): the dilation
+scan, the Schwarz step and the minimizer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import models, rearrange
 from .grid import MAX_POINTS, MultiField, make_grid, read_field, write_field
-from .minimize import (ConstraintVector, MinimizeConfig, dilation_scan,
+from .minimize import (ConstraintVector, MinimizeConfig, ground_state,
                        minimize, project_constraints, symmetry_report)
 from .rearrange import PolarizationSchedule, iterate_polarizations
 from .verify import (SuiteLine, check_polya_szego, random_bump_field,
@@ -165,28 +166,6 @@ def write_keys(path, pairs) -> None:
             fh.write(f"{key} = {_cell(value)}\n")
 
 
-def write_minimize_run(out, result, p, extra) -> None:
-    """Write a minimize run's ``trace.csv``, ``final.rfld`` and
-    ``diagnostics.txt`` into ``out``; the ``(key, value)`` pairs of
-    ``extra`` follow ``total`` in ``diagnostics.txt``."""
-    write_csv(os.path.join(out, "trace.csv"),
-              ("step", "E1", "E2", "E3", "total", "eta", "accepted"),
-              [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, int(t.accepted))
-               for t in result.trace])
-    write_field(result.U, os.path.join(out, "final.rfld"))
-    diag = symmetry_report(result.U, p)
-    final = result.trace[-1]
-    pairs = [("status", result.status), ("E1", final.E1), ("E2", final.E2),
-             ("E3", final.E3), ("total", final.total), *extra]
-    for i in range(result.U.m):
-        pairs += [(f"lambda_{i + 1}", result.multipliers[i]),
-                  (f"residual_{i + 1}", result.residuals[i]),
-                  (f"deficit_{i + 1}", result.deficits[i]),
-                  (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
-                  (f"plateau_{i + 1}", diag.plateau_measure[i])]
-    write_keys(os.path.join(out, "diagnostics.txt"), pairs)
-
-
 def _initial_field(cfg: types.SimpleNamespace, spec, rng) -> MultiField:
     if cfg.field:
         U = read_field(cfg.field)
@@ -248,19 +227,40 @@ def _run_minimize(cfg: types.SimpleNamespace, out: str) -> int:
     spec = make_grid(cfg.dim, cfg.n, cfg.half_width)
     rng = np.random.default_rng(cfg.seed)
     model = models.by_name(cfg.model, m=cfg.m, dim=cfg.dim)
+    if model.m != cfg.m:
+        raise ConfigError(f"model {cfg.model!r} has {model.m} components, "
+                          f"config has m = {cfg.m}")
     cvec = ConstraintVector(cfg.c)
-    if len(cvec.c) != model.m:
+    if len(cvec.c) != cfg.m:
         raise ConfigError("constraint vector length must match m")
-    U0 = project_constraints(_initial_field(cfg, spec, rng), cvec, model.p)
-    scan_pairs = []
-    if cfg.init == "dilation_scan":
-        scan = dilation_scan(U0, model, cvec, deltas=(1.0, 0.5, 0.25, 0.125))
-        scan_pairs = [(f"dilation_E[{d:g}]", e) for d, e, _ in scan]
-        U0 = min(scan, key=lambda t: t[1])[2]
     mconf = MinimizeConfig(model=model, constraints=cvec, spec=spec,
-                           initial=U0, eta=cfg.eta, max_steps=cfg.max_steps,
+                           initial=_initial_field(cfg, spec, rng),
+                           eta=cfg.eta, max_steps=cfg.max_steps,
                            grad_tol=cfg.grad_tol, k_pol=cfg.k_pol)
-    write_minimize_run(out, minimize(mconf), model.p, scan_pairs)
+    if cfg.init == "dilation_scan":
+        result, scan = ground_state(mconf)
+    else:
+        mconf.initial = project_constraints(mconf.initial, cvec, model.p)
+        result, scan = minimize(mconf), []
+    write_csv(os.path.join(out, "trace.csv"),
+              ("step", "E1", "E2", "E3", "total", "eta", "accepted"),
+              [(t.step, t.E1, t.E2, t.E3, t.total, t.eta, int(t.accepted))
+               for t in result.trace])
+    write_field(result.U, os.path.join(out, "final.rfld"))
+    diag = symmetry_report(result.U, model.p)
+    final = result.trace[-1]
+    pairs = [("status", result.status), ("E1", final.E1), ("E2", final.E2),
+             ("E3", final.E3), ("total", final.total),
+             *[(f"dilation_E[{d:g}]", e) for d, e in scan],
+             ("steps", len(result.trace) - 1),
+             ("evaluations", result.evaluations)]
+    for i in range(result.U.m):
+        pairs += [(f"lambda_{i + 1}", result.multipliers[i]),
+                  (f"residual_{i + 1}", result.residuals[i]),
+                  (f"deficit_{i + 1}", result.deficits[i]),
+                  (f"grad_norm_gap_{i + 1}", diag.gradient_norm_gap[i]),
+                  (f"plateau_{i + 1}", diag.plateau_measure[i])]
+    write_keys(os.path.join(out, "diagnostics.txt"), pairs)
     return 0
 
 

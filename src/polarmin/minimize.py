@@ -1,6 +1,6 @@
 """Constrained minimizer on a product of L^p spheres with optional
 Schwarz-symmetrization interleave, plus multiplier/residual and symmetry
-diagnostics and the dilation scan.
+diagnostics, the dilation scan and the ground-state flow built on them.
 
 The descent direction is the Sobolev gradient P g with
 P = (1 - alpha Delta_h)^-1 (Danaila & Kazemi, SIAM J. Sci. Comput. 32, 2010),
@@ -152,12 +152,24 @@ def dilate(U: MultiField, delta: float, p: float) -> MultiField:
     return MultiField(comps)
 
 
-def dilation_scan(U: MultiField, model: EnergyModel, c: ConstraintVector,
-                  deltas=(0.5, 0.25, 0.125)):
-    """Energies of re-projected dilations; returns [(delta, energy, U_delta)]."""
+# The dilation factors of the scan; delta = 1 is the start itself.
+SCAN_DELTAS = (1.0, 0.5, 0.25, 0.125)
+
+
+def dilation_scan(U: MultiField, model: EnergyModel, c: ConstraintVector):
+    """Energies of re-projected dilations by SCAN_DELTAS; returns
+    [(delta, energy, U_delta)].
+
+    A delta whose dilation has an all-zero component (a start that
+    vanishes near the centre) is left out; for a projected U the scan
+    keeps delta = 1, so it is never empty.
+    """
     out = []
-    for d in deltas:
-        Ud = project_constraints(dilate(U, d, model.p), c, model.p)
+    for d in SCAN_DELTAS:
+        Ud = dilate(U, d, model.p)
+        if not all(np.any(comp.values) for comp in Ud.components):
+            continue
+        Ud = project_constraints(Ud, c, model.p)
         out.append((d, eval_total(Ud, model).total, Ud))
     return out
 
@@ -377,6 +389,22 @@ def minimize(config: MinimizeConfig) -> MinimizeResult:
     deficits = tuple(symmetry_deficit(comp, p)[0] for comp in U.components)
     return MinimizeResult(U, trace, lams, residuals, deficits, status,
                           sum(t.evaluations for t in trace))
+
+
+def ground_state(config: MinimizeConfig):
+    """The ground-state flow: project config.initial, take the
+    lowest-energy dilation of dilation_scan, Schwarz-symmetrize it and run
+    minimize from there (minimize does the final projection).
+
+    Returns (MinimizeResult, [(delta, energy)] of the scan).
+    """
+    model, c = config.model, config.constraints
+    scan = dilation_scan(project_constraints(config.initial, c, model.p),
+                         model, c)
+    start = schwarz_multi(min(scan, key=lambda t: t[1])[2])
+    energies = [(d, e) for d, e, _ in scan]
+    del scan  # no dilated field stays alive during the descent
+    return minimize(dataclasses.replace(config, initial=start)), energies
 
 
 @dataclasses.dataclass

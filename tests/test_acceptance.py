@@ -14,8 +14,7 @@ from polarmin.cli import main
 from polarmin.energy import (IntegrandJ, check_assumptions,
                              discrete_gradient, eval_total)
 from polarmin.grid import MultiField, ScalarField, lp_norm, make_grid
-from polarmin.minimize import (ConstraintVector, MinimizeConfig,
-                               dilation_scan, minimize, project_constraints)
+from polarmin.minimize import ConstraintVector, MinimizeConfig, ground_state
 from polarmin.rearrange import (PolarizationSchedule,
                                 admissible_half_spaces, iterate_polarizations,
                                 polarize, polarize_multi, schwarz,
@@ -266,17 +265,12 @@ def test_example_model_end_to_end():
     spec = make_grid(3, 33, 8.0)
     model = models.example_paper(m=1, dim=3)
     c = ConstraintVector((1.0,))
-    rng = np.random.default_rng(0)
-    U0 = project_constraints(
-        MultiField([random_bump_field(spec, rng)]), c, model.p)
-    scan = dilation_scan(U0, model, c)
-    best_delta, best_energy, best_U = min(scan, key=lambda t: t[1])
+    U0 = MultiField([random_bump_field(spec, np.random.default_rng(0))])
+    res, scan = ground_state(MinimizeConfig(
+        model=model, constraints=c, spec=spec, initial=U0, eta=0.1,
+        max_steps=800, grad_tol=1e-3, k_pol=0))
+    best_delta, best_energy = min(scan, key=lambda t: t[1])
     scan_ok = best_energy < 0.0
-
-    init = project_constraints(schwarz_multi(best_U), c, model.p)
-    cfg = MinimizeConfig(model=model, constraints=c, spec=spec, initial=init,
-                         eta=0.1, max_steps=800, grad_tol=1e-3, k_pol=0)
-    res = minimize(cfg)
     total = res.trace[-1].total
     mass_err = abs(lp_norm(res.U.components[0], model.p) ** model.p - 1.0)
     elapsed = time.time() - t0

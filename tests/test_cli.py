@@ -13,9 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polarmin import models
 from polarmin.cli import (COMMANDS, ConfigError, main, parse_config, run,
                           write_csv)
 from polarmin.grid import MultiField, ScalarField, make_grid, write_field
+from polarmin.minimize import ConstraintVector, MinimizeConfig, ground_state
+from polarmin.verify import random_bump_field
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -310,40 +313,42 @@ GOLDEN = {
         {
             "diagnostics.txt": (
                 "status = max_steps_reached\n"
-                "E1 = 0.0023424264140141727\n"
+                "E1 = 0.00085432316878256663\n"
                 "E2 = 0\n"
                 "E3 = 0\n"
-                "total = 0.0023424264140141727\n"
+                "total = 0.00085432316878256663\n"
                 "dilation_E[1] = 0.41689417405392298\n"
                 "dilation_E[0.5] = 0.15090242141142596\n"
                 "dilation_E[0.25] = 0.06705769056780074\n"
                 "dilation_E[0.125] = 0.038648362040848379\n"
-                "lambda_1 = -0.0046848528280283453\n"
-                "residual_1 = 0.9954046481431279\n"
-                "deficit_1 = 0.18801950498638828\n"
-                "grad_norm_gap_1 = -0.037860158805390523\n"
+                "steps = 4\n"
+                "evaluations = 5\n"
+                "lambda_1 = -0.0017086463375651339\n"
+                "residual_1 = 0.99944129407015359\n"
+                "deficit_1 = 0.065076846313008779\n"
+                "grad_norm_gap_1 = -0.012013292572427333\n"
                 "plateau_1 = 0\n"
             ),
             "final.rfld": (
                 "RFLD 1\n"
                 "1 1 9 4\n"
-                "0.39566050103268147\n"
-                "0.39892436249100977\n"
-                "0.3559924745188337\n"
-                "0.34345344978375897\n"
-                "0.30334843148255375\n"
-                "0.30797770662319673\n"
-                "0.28837834569940679\n"
-                "0.29517569940196053\n"
-                "0.28715832637367256\n"
+                "0.3418908417374702\n"
+                "0.3337098577443261\n"
+                "0.35692543247387087\n"
+                "0.32074077876708845\n"
+                "0.36208960827662195\n"
+                "0.3159145751362325\n"
+                "0.34831175353097982\n"
+                "0.29887190858352258\n"
+                "0.31610373783921036\n"
             ),
             "trace.csv": (
                 "step,E1,E2,E3,total,eta,accepted\n"
-                "0,0.038648362040848379,0,0,0.038648362040848379,0,1\n"
-                "1,0.014725719046309158,0,0,0.014725719046309158,1,1\n"
-                "2,0.014725719046309158,0,0,0.014725719046309158,0,0\n"
-                "3,0.0023424264140141727,0,0,0.0023424264140141727,2.1459345240921088,1\n"
-                "4,0.0023424264140141727,0,0,0.0023424264140141727,0,0\n"
+                "0,0.050275214033660288,0,0,0.050275214033660288,0,1\n"
+                "1,0.023072577080091049,0,0,0.023072577080091049,1,1\n"
+                "2,0.023072577080091049,0,0,0.023072577080091049,0,0\n"
+                "3,0.00085432316878256663,0,0,0.00085432316878256663,2.9646256886136979,1\n"
+                "4,0.00085432316878256663,0,0,0.00085432316878256663,0,0\n"
             ),
         }),
 }
@@ -404,6 +409,69 @@ def test_random_symmetrize_pinned_bytes(tmp_path):
         kept = [ln for ln in (out / name).read_bytes().splitlines(keepends=True)
                 if not ln.startswith(b"#")]
         assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
+
+
+def test_gaussian_minimize_pinned_bytes(tmp_path):
+    # A 2D minimize run from the seeded start without the dilation scan:
+    # the SHA-256 of its trace and field with the `#` lines dropped.  The
+    # start is projected before minimize projects it again; on this seed,
+    # dropping the first projection changes bits of both files.
+    cfg = write_config(tmp_path, "command = minimize\ndim = 2\nn = 17\n"
+                                 "model = example_paper\ninit = gaussian\n"
+                                 "eta = 0.1\nmax_steps = 30\nk_pol = 4\n"
+                                 "seed = 4\n")
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    expected = {
+        "trace.csv":
+            "03f0459e7999334940e0c3559a37595b0e4b593bf11e4e40a41c9cc0e681acaa",
+        "final.rfld":
+            "379012d7cdf13390d9d8fce24911032381210053960bd3568409a0e2dfa91b74",
+    }
+    for name, digest in expected.items():
+        kept = [ln for ln in (out / name).read_bytes().splitlines(keepends=True)
+                if not ln.startswith(b"#")]
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
+
+
+def test_minimize_runs_library_ground_state(tmp_path):
+    # init = dilation_scan (the default) runs minimize.ground_state on the
+    # seeded start, and diagnostics.txt lists its scan
+    cfg = write_config(tmp_path, "command = minimize\ndim = 2\nn = 17\n"
+                                 "model = example_paper\neta = 0.1\n"
+                                 "max_steps = 30\nk_pol = 4\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    spec = make_grid(2, 17, 4.0)
+    start = MultiField([random_bump_field(spec, np.random.default_rng(3))])
+    result, scan = ground_state(MinimizeConfig(
+        model=models.example_paper(m=1, dim=2),
+        constraints=ConstraintVector((1.0,)), spec=spec, initial=start,
+        eta=0.1, max_steps=30, k_pol=4))
+    write_field(result.U, tmp_path / "library.rfld")
+    assert (out / "final.rfld").read_bytes() == \
+        (tmp_path / "library.rfld").read_bytes()
+    diagnostics = (out / "diagnostics.txt").read_text().splitlines()
+    assert [ln for ln in diagnostics if ln.startswith("dilation_E[")] == [
+        f"dilation_E[{d:g}] = {e:.17g}" for d, e in scan]
+
+
+def test_scan_skips_dilations_of_a_vanishing_centre(tmp_path):
+    # a field that is 0 but at the two faces: every dilation with delta < 1
+    # samples only the zero middle, so the scan keeps delta = 1 alone
+    values = np.zeros(9)
+    values[[0, -1]] = 1.0
+    path = tmp_path / "in.rfld"
+    write_field(MultiField([ScalarField(make_grid(1, 9, 4.0), values)]), path)
+    cfg = write_config(tmp_path, "command = minimize\ndim = 1\nn = 9\n"
+                                 "half_width = 4.0\nmodel = plaplace\n"
+                                 f"max_steps = 3\nfield = {path}\n")
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+    keys = [ln.split(" = ")[0]
+            for ln in (out / "diagnostics.txt").read_text().splitlines()]
+    assert [k for k in keys if k.startswith("dilation_E")] == [
+        "dilation_E[1]"]
 
 
 class TestWriters:
@@ -556,6 +624,19 @@ class TestErrorsExitTwo:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: key 'n' at line 3: m * n^dim must be at most 2097152"]
+
+    @pytest.mark.parametrize("c_line", ["", "c = 1,1\n"])
+    def test_minimize_model_component_count(self, tmp_path, capsys, c_line):
+        # nonmonotone_g always has 2 components; m is 1 by default
+        cfg = write_config(tmp_path,
+                           "command = minimize\ndim = 1\nn = 9\n"
+                           f"model = nonmonotone_g\n{c_line}")
+        out = tmp_path / "o"
+        code = main(["minimize", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model 'nonmonotone_g' has 2 components, config has m = 1"]
+        assert not (out / "final.rfld").exists()
 
     def test_minimize_constraint_length(self, tmp_path, capsys):
         cfg = write_config(tmp_path,

@@ -204,7 +204,7 @@ class TestDilate:
         c = ConstraintVector((1.0,))
         scan = dilation_scan(project_constraints(U, c, 2.0),
                              confined_toy_model(), c)
-        assert [d for d, _, _ in scan] == [0.5, 0.25, 0.125]
+        assert [d for d, _, _ in scan] == [1.0, 0.5, 0.25, 0.125]
         for _, energy, Ud in scan:
             assert np.isfinite(energy)
             assert lp_norm(Ud.components[0], 2.0) ** 2 == pytest.approx(
@@ -375,18 +375,15 @@ def confined_toy_config():
 
 
 def golden_config():
-    """The run of the minimize entry of the CLI golden files: plaplace on
-    1D n = 9 from the best of the seed-5 bump's dilations, 4 steps with a
-    Schwarz candidate every 2."""
+    """The config that the minimize entry of the CLI golden files passes to
+    ground_state: plaplace on 1D n = 9 from the seed-5 bump, 4 steps with
+    a Schwarz candidate every 2."""
     spec = make_grid(1, 9, 4.0)
-    model, c = models.plaplace(m=1, dim=1), ConstraintVector((1.0,))
-    U0 = project_constraints(
-        MultiField([random_bump_field(spec, np.random.default_rng(5))]),
-        c, model.p)
-    scan = dilation_scan(U0, model, c, deltas=(1.0, 0.5, 0.25, 0.125))
-    return MinimizeConfig(model=model, constraints=c, spec=spec,
-                          initial=min(scan, key=lambda t: t[1])[2],
-                          eta=1.0, max_steps=4, grad_tol=1e-3, k_pol=2)
+    U0 = MultiField([random_bump_field(spec, np.random.default_rng(5))])
+    return MinimizeConfig(model=models.plaplace(m=1, dim=1),
+                          constraints=ConstraintVector((1.0,)), spec=spec,
+                          initial=U0, eta=1.0, max_steps=4, grad_tol=1e-3,
+                          k_pol=2)
 
 
 def stalling_config():
