@@ -122,7 +122,8 @@ class EnergyBreakdown:
 def _require_finite(vals: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(vals)):
         idx = np.unravel_index(int(np.argmax(~np.isfinite(vals))), vals.shape)
-        raise ValueError(f"{what} produced non-finite value at {idx}")
+        raise ValueError(f"{what} produced non-finite value at "
+                         f"{tuple(map(int, idx))}")
 
 
 def origin_value(V: KernelV, spec: GridSpec) -> float:

@@ -199,6 +199,11 @@ def _shape_rank(dim: int, n: int) -> np.ndarray:
     The order sorts points by squared integer radius, the sum of their
     squared index offsets from the centre, so radius ties are exact; it
     breaks ties by the lexicographic order of the coordinates.
+
+    ``run_property_suite`` builds it, through ``_build_caches``, before
+    its worker thread starts.  Built in the worker, it would stay in use
+    in that thread's malloc arena, and the arena could not hand the
+    trials' freed arrays beneath it back to the system.
     """
     idx = np.indices((n,) * dim).reshape(dim, -1) - (n - 1) // 2
     r2 = np.sum(idx**2, axis=0)
@@ -206,6 +211,17 @@ def _shape_rank(dim: int, n: int) -> np.ndarray:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank.reshape((n,) * dim)
+
+
+def _build_caches(spec: GridSpec) -> None:
+    """Build the cached arrays that polarizations and Schwarz placements
+    on spec's grid read: the radial rank, and the strict upper triangle
+    of every block size up to n, a few kilobytes at n = 33."""
+    n = spec.points_per_axis
+    _shape_rank(spec.dim, n)
+    if spec.dim > 1:
+        for m in range(n + 1):
+            _strict_upper(m, spec.dim)
 
 
 def schwarz(field: ScalarField) -> ScalarField:

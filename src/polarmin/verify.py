@@ -9,6 +9,8 @@ interfaces contribute O(h) mismatched cells.
 from __future__ import annotations
 
 import dataclasses
+import os
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -17,8 +19,9 @@ from .energy import (EnergyModel, IntegrandJ, _nonlocal_sum,
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
                    axis_sum, gradient_magnitude)
 from .models import plaplace
-from .rearrange import (HalfSpace, _place_radially, admissible_half_spaces,
-                        polarize, polarize_multi, schwarz)
+from .rearrange import (HalfSpace, _build_caches, _place_radially,
+                        admissible_half_spaces, polarize, polarize_multi,
+                        schwarz)
 
 
 @dataclasses.dataclass
@@ -268,14 +271,74 @@ class SuiteSummary:
         return all(ln.passed for ln in self.lines)
 
 
+# the suite's checks, in the order of its lines
+_CHECKS = ("equimeasurability", "lp_norm_exact", "value_invariance_exact",
+          "value_tails_exact", "gradient_invariance_tol", "polya_szego_tol")
+
+# trials drawn per round: the suite holds one round's draws and outcomes
+_ROUND = 64
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _trim_heap() -> None:
+    """Hand the free pages of every malloc arena back to the system,
+    where the C library offers malloc_trim (glibc).
+
+    The suite's worker thread frees its arrays into its own arena, which
+    the calling thread never allocates from again.  numpy's small-block
+    caches keep a few of that arena's blocks in use, so it cannot shrink
+    by itself: without this, a trial's arrays, about 3 MB at 33^3, stay
+    resident for the rest of the process.
+    """
+    import ctypes
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
+def _exact(holds: bool) -> tuple:
+    # (passed, slack, tolerance) of an exact check
+    return holds, 0.0 if holds else -1.0, 0.0
+
+
+def _outcome(rep: InequalityReport) -> tuple:
+    return rep.passed, rep.slack, rep.tolerance
+
+
 def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
-    """Randomized aggregation of the exact and tolerance-class checks."""
+    """Randomized aggregation of the exact and tolerance-class checks.
+
+    Each round draws up to ``_ROUND`` trials' bumps and half-spaces from
+    the one generator, in trial order, and then evaluates them: the first
+    half on the calling thread, the second on one worker thread when a
+    second core is available.  A trial's numpy work releases the GIL.  The
+    outcomes are recorded in trial order, so the lines and counts are the
+    same on any number of cores; a trial that raises stops the suite with
+    the error of the first such trial, as in one thread.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     family = admissible_half_spaces(spec)
     j_grad = plaplace(p=2.0, dim=spec.dim).js[0]
     hN = spec.cell_volume
+    # built here rather than on first use in the worker: a cached array
+    # made by the worker sits in its malloc arena and keeps the arena's
+    # freed trial arrays resident
+    _build_caches(spec)
 
     def value_integral(squares):
         # the terms of j(s) = |s|^2, already in the ascending order that
@@ -283,67 +346,83 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
         _require_finite(squares, "integrand")
         return float(np.sum(squares)) * hN
 
-    counters = {}
+    def evaluate(draws):
+        """The (passed, slack, tolerance) of each check, in _CHECKS order,
+        for each trial of draws.  One loop for all of them: each trial's
+        arrays are freed as the next trial rebinds their names, so malloc
+        reuses them.  A function per trial would free them all at once,
+        and malloc would hand the pages back to the system and fault them
+        in again for the next trial."""
+        outcomes = []
+        for params, H in draws:
+            u = eval_bumps(spec, params)
+            uh = polarize(u, H)
+
+            # one sort per field serves every value-class check, and u's
+            # also places u*; the sort of u* stays independent of it, since
+            # equimeasurability compares them.  polarize rejects negative
+            # fields, so the ascending values are also the ascending
+            # |values|.
+            sorted_u = np.sort(u.values, axis=None)
+            us = _place_radially(spec, sorted_u)
+            sorted_uh, sorted_us = (np.sort(f.values, axis=None)
+                                    for f in (uh, us))
+            same = (np.array_equal(sorted_u, sorted_uh)
+                    and np.array_equal(sorted_u, sorted_us))
+
+            # the squares of each sorted array, made once: j(s) = |s|^2
+            # is nondecreasing in |s|, so they are the ascending terms that
+            # the L^2 norm, the value integral and the value tails all sum
+            norms, integrals, tails = [], [], []
+            for a in (sorted_u, sorted_uh, sorted_us):
+                sq = np.square(a)
+                norms.append(_lp_norm_sorted(a, 2.0, hN, sq))
+                integrals.append(value_integral(sq))
+                tails.append(_value_tails(a, sq, (0.1,), (0.5,), hN))
+            small, large = zip(*tails)
+
+            # one |Du| per field: I(u) serves both gradient checks
+            i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
+            outcomes.append((
+                _exact(same),
+                _exact(norms[0] == norms[1] == norms[2]),
+                _outcome(_invariance_report(0.0, integrals[0],
+                                            integrals[1])),
+                _exact(np.ptp(small) == 0.0 and np.ptp(large) == 0.0),
+                _outcome(_invariance_report(grad_tol(spec.h, i_u), i_u,
+                                            i_uh)),
+                _outcome(_polya_szego_report(spec, i_u, i_us))))
+        return outcomes
+
+    lines = [SuiteLine(check, 0, 0, np.inf, 0.0) for check in _CHECKS]
     sorts = magnitudes = 0
+    with ThreadPoolExecutor(1) if _cores() > 1 else nullcontext() as pool:
+        for start in range(0, trials, _ROUND):
+            draws = [(bump_params(rng, spec.dim, spec.half_width),
+                      family[rng.integers(len(family))])
+                     for _ in range(min(_ROUND, trials - start))]
+            half = (len(draws) + 1) // 2 if pool else len(draws)
+            rest = (pool.submit(evaluate, draws[half:]) if draws[half:]
+                    else None)
+            # an error here comes from an earlier trial than any of the
+            # worker's, so it is the one raised: leaving the block waits
+            # for the worker and drops its result
+            outcomes = evaluate(draws[:half])
+            if rest is not None:
+                outcomes += rest.result()
 
-    def record(check, passed, slack, tol):
-        # worst_slack and tolerance both come from the trial with the least
-        # slack, the first of them on a tie
-        line = counters.setdefault(check, SuiteLine(check, 0, 0, np.inf, 0.0))
-        line.trials += 1
-        line.passes += int(passed)
-        if slack < line.worst_slack:
-            line.worst_slack, line.tolerance = slack, tol
-
-    for _ in range(trials):
-        u = random_bump_field(spec, rng)
-        H = family[rng.integers(len(family))]
-        uh = polarize(u, H)
-
-        # one sort per field serves every value-class check, and u's also
-        # places u*; the sort of u* stays independent of it, since
-        # equimeasurability compares them.  polarize rejects negative
-        # fields, so the ascending values are also the ascending |values|.
-        sorted_u = np.sort(u.values, axis=None)
-        us = _place_radially(spec, sorted_u)
-        sorted_uh, sorted_us = (np.sort(f.values, axis=None)
-                                for f in (uh, us))
-        sorts += 3
-        same = (np.array_equal(sorted_u, sorted_uh)
-                and np.array_equal(sorted_u, sorted_us))
-        record("equimeasurability", same, 0.0 if same else -1.0, 0.0)
-
-        # the squares of each sorted array, made once: j(s) = |s|^2
-        # is nondecreasing in |s|, so they are the ascending terms that the
-        # L^2 norm, the value integral and the value tails all sum
-        norms, integrals, tails = [], [], []
-        for a in (sorted_u, sorted_uh, sorted_us):
-            sq = np.square(a)
-            norms.append(_lp_norm_sorted(a, 2.0, hN, sq))
-            integrals.append(value_integral(sq))
-            tails.append(_value_tails(a, sq, (0.1,), (0.5,), hN))
-        norm_match = norms[0] == norms[1] == norms[2]
-        record("lp_norm_exact", norm_match, 0.0 if norm_match else -1.0, 0.0)
-
-        rep = _invariance_report(0.0, integrals[0], integrals[1])
-        record("value_invariance_exact", rep.passed, rep.slack, rep.tolerance)
-
-        small, large = zip(*tails)
-        tails_const = np.ptp(small) == 0.0 and np.ptp(large) == 0.0
-        record("value_tails_exact", tails_const,
-               0.0 if tails_const else -1.0, 0.0)
-
-        # one |Du| per field: I(u) serves both gradient checks
-        i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
-        sorts += 3  # one per _j_integral, each of which builds one |Du|
-        magnitudes += 3
-        rep = _invariance_report(grad_tol(spec.h, i_u), i_u, i_uh)
-        record("gradient_invariance_tol", rep.passed, rep.slack, rep.tolerance)
-
-        rep = _polya_szego_report(spec, i_u, i_us)
-        record("polya_szego_tol", rep.passed, rep.slack, rep.tolerance)
-
-    order = ["equimeasurability", "lp_norm_exact", "value_invariance_exact",
-             "value_tails_exact", "gradient_invariance_tol", "polya_szego_tol"]
-    return SuiteSummary([counters[k] for k in order], seed, sorts,
-                        magnitudes)
+            for outcome in outcomes:
+                for line, (passed, slack, tol) in zip(lines, outcome):
+                    # worst_slack and tolerance both come from the trial
+                    # with the least slack, the first of them on a tie
+                    line.trials += 1
+                    line.passes += int(passed)
+                    if slack < line.worst_slack:
+                        line.worst_slack, line.tolerance = slack, tol
+                # three sorts for the value checks and one per
+                # _j_integral, each of which builds one |Du|
+                sorts += 6
+                magnitudes += 3
+    if pool is not None:
+        _trim_heap()
+    return SuiteSummary(lines, seed, sorts, magnitudes)

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin import models, verify
+from polarmin import cli, models, rearrange, verify
 from polarmin.energy import IntegrandJ, LocalTermF, eval_total
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            make_grid)
@@ -467,6 +471,170 @@ class TestPropertySuite:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_property_suite(0, 0, SPEC_2D)
+
+
+
+def suite_bits(suite):
+    """The lines of a suite with their floats as int64 bit patterns, and
+    its counts."""
+    return ([(ln.check, ln.trials, ln.passes,
+              int(np.float64(ln.worst_slack).view(np.int64)),
+              int(np.float64(ln.tolerance).view(np.int64)))
+             for ln in suite.lines], suite.sorts, suite.magnitudes)
+
+
+def suite_csv(tmp_path, name, trials, dim=2, n=9, half_width=2.0, seed=4):
+    """suite.csv of a ``polarmin verify`` run, without its # line."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"dim = {dim}\nn = {n}\nhalf_width = {half_width}\n"
+                   f"trials = {trials}\nseed = {seed}\n")
+    out = tmp_path / name
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    return [ln for ln in (out / "suite.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+
+
+def oracle_csv(tmp_path, trials, dim=2, n=9, half_width=2.0, seed=4):
+    """The suite.csv lines that the oracle's suite gives, written as the
+    CLI writes them."""
+    path = tmp_path / "oracle.csv"
+    cli.write_csv(path, [f.name for f in dataclasses.fields(SuiteLine)],
+                  [dataclasses.astuple(ln) for ln in
+                   oracle_suite(seed, trials, make_grid(dim, n, half_width))])
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("#")]
+
+
+class TestSuiteThreads:
+    """The suite runs each round's second half on a worker thread; these
+    pin that its lines, counts and errors are those of one thread."""
+
+    @staticmethod
+    def one_core(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+    def test_concurrent_suites_match_a_serial_run(self, monkeypatch):
+        # four suites at once, more threads than cores, each with its own
+        # worker, on grid caches that start cold
+        spec = make_grid(2, 13, 3.0)
+        monkeypatch.setattr(verify, "_ROUND", 5)
+        with monkeypatch.context() as m:
+            self.one_core(m)
+            reference = suite_bits(run_property_suite(2, 40, spec))
+        rearrange._shape_rank.cache_clear()
+        rearrange._strict_upper.cache_clear()
+        results, errors = [None] * 4, []
+
+        def run(k):
+            try:
+                results[k] = suite_bits(run_property_suite(2, 40, spec))
+            except Exception as err:  # reported by the main thread
+                errors.append(err)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [reference] * 4
+
+    @staticmethod
+    def overflow_in_trials(monkeypatch, seed, trials, spec, indices):
+        """Make eval_bumps give trial k of ``indices`` k + 1 values whose
+        squares overflow, so that the suite's error names the trial: the
+        sorted squares put the infinities last.  eval_bumps knows a trial
+        by the width of its first bump."""
+        rng = np.random.default_rng(seed)
+        family = admissible_half_spaces(spec)
+        widths = []
+        for _ in range(trials):
+            widths.append(bump_params(rng, spec.dim, spec.half_width)[0][1])
+            rng.integers(len(family))
+        real = verify.eval_bumps
+
+        def eval_bumps(spec, params):
+            u = real(spec, params)
+            for k in indices:
+                if params[0][1] == widths[k]:
+                    u.values.flat[:k + 1] = 1e200
+            return u
+
+        monkeypatch.setattr(verify, "eval_bumps", eval_bumps)
+
+    def suite_error(self, monkeypatch, one_core, seed, trials, spec):
+        with monkeypatch.context() as m:
+            if one_core:
+                self.one_core(m)
+            with pytest.raises(ValueError) as err:
+                run_property_suite(seed, trials, spec)
+        return str(err.value)
+
+    # 6 trials make one round: trials 0-2 run on the calling thread and
+    # 3-5 on the worker
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    @pytest.mark.parametrize("indices", [(4,), (1, 4), (4, 5)],
+                             ids=["worker", "both-halves", "worker-twice"])
+    def test_first_failing_trial_raises(self, monkeypatch, indices):
+        spec = make_grid(2, 9, 2.0)
+        self.overflow_in_trials(monkeypatch, 4, 6, spec, indices)
+        baseline = threading.active_count()
+        threaded = self.suite_error(monkeypatch, False, 4, 6, spec)
+        assert threading.active_count() == baseline
+        serial = self.suite_error(monkeypatch, True, 4, 6, spec)
+        first = indices[0]
+        assert threaded == serial == (
+            f"integrand produced non-finite value at ({81 - first - 1},)")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    def test_cli_exits_2_on_a_worker_error(self, monkeypatch, tmp_path,
+                                           capsys):
+        spec = make_grid(2, 9, 2.0)
+        self.overflow_in_trials(monkeypatch, 4, 6, spec, (4,))
+        baseline = threading.active_count()
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("dim = 2\nn = 9\nhalf_width = 2.0\ntrials = 6\n"
+                       "seed = 4\n")
+        assert cli.main(["verify", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value at (76,)" in err and "Traceback" not in err
+        assert threading.active_count() == baseline
+
+    # one core runs every round on the calling thread; rounds of 5 split
+    # 3 + 2, and 101 trials end with a round of 1
+    @pytest.mark.parametrize("mode", ["one-core", "rounds-of-5"])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 101])
+    def test_suite_csv_matches_oracle(self, monkeypatch, tmp_path, mode,
+                                      trials):
+        if mode == "one-core":
+            self.one_core(monkeypatch)
+        else:
+            monkeypatch.setattr(verify, "_ROUND", 5)
+        assert suite_csv(tmp_path, mode, trials) == oracle_csv(tmp_path,
+                                                               trials)
+
+    def test_benchmark_config_same_bytes_on_one_core(self, monkeypatch,
+                                                      tmp_path):
+        # the benchmark's verify run with one trial more: rounds of 64 and
+        # 37, the second split 19 + 18
+        config = dict(trials=101, dim=3, n=33, half_width=4.0, seed=0)
+        threaded = suite_csv(tmp_path, "threads", **config)
+        with monkeypatch.context() as m:
+            self.one_core(m)
+            assert suite_csv(tmp_path, "one", **config) == threaded
+        tolerances = {row.split(",")[0]: row.split(",")[-1]
+                      for row in threaded[1:]}
+        assert tolerances["gradient_invariance_tol"] == "29.528049182099611"
+        assert tolerances["polya_szego_tol"] == "11.032429592006384"
 
 
 def test_grad_tol_scaling():
