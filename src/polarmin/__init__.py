@@ -8,9 +8,9 @@ from .rearrange import (ConvergenceTrace, HalfSpace, PolarizationSchedule,
                         polarize, polarize_multi, schwarz, schwarz_multi,
                         symmetry_deficit)
 from .energy import (AssumptionReport, CouplingG, EnergyBreakdown,
-                     EnergyModel, IntegrandJ, KernelV, LocalTermF,
-                     NonlocalOperator, check_assumptions, discrete_gradient,
-                     eval_total, nonlocal_operator, sample_kernel)
+                     EnergyModel, IntegrandJ, LocalTermF, check_assumptions,
+                     discrete_gradient, eval_total, kernel_transform,
+                     sample_kernel)
 from .minimize import (ConstraintVector, MinimizeConfig, MinimizeResult,
                        descent_step, dilate, dilation_scan, ground_state,
                        lagrange_residual, minimize, project_constraints,

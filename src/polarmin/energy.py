@@ -67,29 +67,24 @@ class CouplingG:
     exponents_mu: tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelV:
-    """Radial non-increasing interaction kernel V(r), r > 0.
-
-    The value at zero offset is the cell average of V (origin_value).  The
-    weak-L^q membership of V that the model assumes is not stored: no
-    finite check certifies it (see check_assumptions).  Frozen, so v is its
-    hash and nonlocal_operator can cache on it.
-    """
-
-    v: callable
-
-
 @dataclasses.dataclass
 class EnergyModel:
     """js (one gradient integrand per component), optional F, and G with V
-    together; p is the exponent of the L^p constraint spheres."""
+    together; p is the exponent of the L^p constraint spheres.
+
+    V is the radial non-increasing interaction kernel: a function that maps
+    an array of radii r > 0 to V(r).  The value at zero offset is the cell
+    average of V (origin_value).  The weak-L^q membership of V that the
+    model assumes is not stored: no finite check certifies it (see
+    check_assumptions).  kernel_transform caches on the function itself, so
+    models that share one V share its transform on each grid.
+    """
 
     p: float
     js: list
     F: LocalTermF | None = None
     G: CouplingG | None = None
-    V: KernelV | None = None
+    V: callable | None = None
 
     def __post_init__(self):
         if (self.G is None) != (self.V is None):
@@ -126,19 +121,19 @@ def _require_finite(vals: np.ndarray, what: str) -> None:
                          f"{tuple(map(int, idx))}")
 
 
-def origin_value(V: KernelV, spec: GridSpec) -> float:
+def origin_value(V: callable, spec: GridSpec) -> float:
     """Kernel value assigned to zero offset: the average of V(|x|) over the
     cell [-h/2, h/2]^N, by a fixed 16-point-per-axis midpoint rule."""
     h = spec.h
     q = 16
     pts = (np.arange(q) + 0.5) / q * h - h / 2.0
     r = np.sqrt(axis_sum([pts**2] * spec.dim))
-    vals = V.v(r)
+    vals = V(r)
     _require_finite(np.asarray(vals), "kernel")
     return float(np.mean(vals))
 
 
-def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
+def sample_kernel(V: callable, spec: GridSpec) -> np.ndarray:
     """V at every pairwise lattice offset, in the circulant layout of rfftn.
 
     Along each axis of length M = _fast_len(2n - 2), index q holds offset
@@ -158,7 +153,7 @@ def sample_kernel(V: KernelV, spec: GridSpec) -> np.ndarray:
     r = np.sqrt(axis_sum([x**2] * dim)).ravel()
     vals = np.empty_like(r)
     vals[0] = origin_value(V, spec)  # offset (0, ..., 0) comes first
-    vals[1:] = V.v(r[1:])
+    vals[1:] = V(r[1:])
     _require_finite(vals[1:], "kernel")
     # index q holds |d| = min(q, M - q) where that is below n
     q = np.arange(size)
@@ -215,41 +210,36 @@ def _rfft_padded(a: np.ndarray, size: int, work: list) -> np.ndarray:
     return out
 
 
-class NonlocalOperator:
-    """The map g -> sum_y V(|x - y|) g(y) on one grid (no volume factor).
+@functools.lru_cache(maxsize=4)
+def kernel_transform(V: callable, spec: GridSpec) -> np.ndarray:
+    """The transform of V on spec that kernel_convolve takes, from a small
+    least-recently-used cache keyed on V and spec.
 
-    The sampled kernel is stored as the rFFT of its circulant embedding
-    (sample_kernel): offset d along an axis sits at index d mod M, with
+    It is the rFFT of the kernel's circulant embedding (sample_kernel):
+    offset d along an axis sits at index d mod M, with
     M = _fast_len(2n - 2) >= 2n - 2.  The offsets x - y of two grid points
     lie in [1 - n, n - 1], and only +-(n - 1) can meet at one index, which
     the even kernel gives one value; so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
-    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
-    kernel_hat is _rfft_padded of the sampled kernel, the bits of
-    scipy.fft.rfftn.  Only the kernel's transform is kept; the work arrays
-    of kernel_convolve live for one call.
+    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
+    array is _rfft_padded of the sampled kernel, the bits of
+    scipy.fft.rfftn, and is read-only, since the cache shares it.
     """
-
-    def __init__(self, V: KernelV, spec: GridSpec):
-        self.V, self.spec = V, spec
-        kernel = sample_kernel(V, spec)
-        self.fft_shape = kernel.shape
-        size = kernel.shape[-1]
-        self.kernel_hat = _rfft_padded(
-            kernel, size, _spectrum_buffers(size, kernel.ndim))
+    kernel = sample_kernel(V, spec)
+    size = kernel.shape[-1]
+    kernel_hat = _rfft_padded(kernel, size,
+                              _spectrum_buffers(size, kernel.ndim))
+    kernel_hat.flags.writeable = False
+    return kernel_hat
 
 
-@functools.lru_cache(maxsize=4)
-def nonlocal_operator(V: KernelV, spec: GridSpec) -> NonlocalOperator:
-    """The operator of V on spec, from a small least-recently-used cache."""
-    return NonlocalOperator(V, spec)
-
-
-def kernel_convolve(g: np.ndarray, op: NonlocalOperator) -> np.ndarray:
+def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     """Free-space linear convolution sum_y V(|x - y|) g(y) (no volume factor).
 
-    Every nonlocal application goes through here, as the cyclic
-    convolution of the circulant embedding.  It gives the bits of
+    kernel_hat is kernel_transform of V on g's grid, and the circulant
+    length M = _fast_len(2n - 2) follows from g's shape.  Every nonlocal
+    application goes through here, as the cyclic convolution of the
+    circulant embedding.  It gives the bits of
     irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft.  The
     forward pass is _rfft_padded.  The inverse runs the complex transforms
     along axes 0, 1, ... and then the real one along the last axis, as
@@ -262,10 +252,10 @@ def kernel_convolve(g: np.ndarray, op: NonlocalOperator) -> np.ndarray:
     (_spectrum_buffers), the last into a real view of one of them, so the
     only other array made is the result.
     """
-    size = op.fft_shape[-1]
+    size = _fast_len(2 * g.shape[-1] - 2)
     work = _spectrum_buffers(size, g.ndim)
     full = _rfft_padded(g, size, work)
-    np.multiply(full, op.kernel_hat, out=full)
+    np.multiply(full, kernel_hat, out=full)
     side = (g.ndim - 1) % 2  # the work array that holds full
     for k, n in enumerate(g.shape[:-1]):
         side = 1 - side
@@ -291,7 +281,7 @@ def _nonlocal_sum(U: MultiField, model: EnergyModel) -> tuple:
     g = np.asarray(model.G.g([c.values for c in U.components]),
                    dtype=np.float64)
     _require_finite(g, "coupling")
-    potential = kernel_convolve(g, nonlocal_operator(model.V, U.spec))
+    potential = kernel_convolve(g, kernel_transform(model.V, U.spec))
     return float(np.sum(g * potential)) * U.spec.cell_volume**2, potential
 
 
@@ -372,8 +362,6 @@ class CheckResult:
 @dataclasses.dataclass
 class AssumptionReport:
     checks: list
-    trials: int
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -538,7 +526,7 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
         def g3(rng):
             r1 = rng.uniform(1e-3, 5)
             r2 = r1 + rng.uniform(0, 5)
-            if V.v(np.array(r1)) < V.v(np.array(r2)) - _EPS:
+            if V(np.array(r1)) < V(np.array(r2)) - _EPS:
                 return (r1, r2)
 
         run("G0", g0)
@@ -546,4 +534,4 @@ def check_assumptions(model: EnergyModel, trials: int, seed: int) -> AssumptionR
         run("G3", g3)
         run("G4", g4)
 
-    return AssumptionReport(checks, trials, seed)
+    return AssumptionReport(checks)

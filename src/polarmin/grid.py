@@ -69,11 +69,13 @@ def axis_sum(arrays) -> np.ndarray:
     return total
 
 
-# Largest accepted half-width L.  Up to it, the nonlocal weight h^(2N),
-# squared coordinates and squared bump widths stay far inside the float
-# range for N <= 3.  Above about 1e51 the Python-float powers of h and of
-# the bump widths overflow and raise.
+# Largest and smallest accepted half-width L.  Between them, the nonlocal
+# weight h^(2N), squared coordinates and squared bump widths stay far inside
+# the float range for N <= 3.  Above about 1e51 the Python-float powers of h
+# and of the bump widths overflow and raise.  Well below the lower bound
+# h^(2N) underflows in 3D and the energy reads nan (n = 9 at 1e-60).
 MAX_HALF_WIDTH = 1e30
+MIN_HALF_WIDTH = 1e-30
 
 # Largest accepted n^N of a grid and m * n^N of a run: 3D n <= 127.
 MAX_POINTS = 2**21
@@ -88,6 +90,8 @@ def make_grid(dim: int, points_per_axis: int, half_width: float) -> GridSpec:
         raise ValueError("half-width must be positive")
     if not half_width <= MAX_HALF_WIDTH:
         raise ValueError(f"half-width must be at most {MAX_HALF_WIDTH:g}")
+    if not half_width >= MIN_HALF_WIDTH:
+        raise ValueError(f"half-width must be at least {MIN_HALF_WIDTH:g}")
     if points_per_axis**dim > MAX_POINTS:
         raise ValueError(f"grid must have at most {MAX_POINTS} points")
     return GridSpec(dim, points_per_axis, float(half_width))
@@ -132,10 +136,14 @@ def lp_norm(field: ScalarField, p: float) -> float:
     The powers are accumulated in ascending sorted order, so equimeasurable
     fields (value permutations) produce bit-identical norms.
     """
-    if p < 1:
-        raise ValueError("exponent out of range")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     return _lp_norm_sorted(np.sort(np.abs(field.values), axis=None),
                            p, field.spec.cell_volume)
+
+
+# the smallest normal float: a power sum below it has lost bits
+_TINY = float(np.finfo(float).tiny)
 
 
 def _lp_norm_sorted(v: np.ndarray, p: float, hN: float,
@@ -146,10 +154,11 @@ def _lp_norm_sorted(v: np.ndarray, p: float, hN: float,
         if powers is None:
             powers = v**p
         s = float(np.sum(powers)) * hN
-    if not np.isfinite(s):
-        # |u|^p overflows for finite fields (above about 1e154 at p=2):
-        # factor out the maximum.  Only overflowing sums take this branch,
-        # so every finite result keeps its bits.
+    if not _TINY <= s < np.inf and v[-1] > 0:
+        # |u|^p overflows (above about 1e154 at p=2) or underflows (below
+        # about 1e-154, or at huge p) for finite nonzero fields: factor out
+        # the maximum.  Only such sums take this branch, so every sum in the
+        # normal range keeps its bits.
         top = v[-1]
         return top * (float(np.sum((v / top) ** p)) * hN) ** (1.0 / p)
     return s ** (1.0 / p)

@@ -34,6 +34,8 @@ class ConstraintVector:
         self.c = tuple(float(v) for v in self.c)
         if any(v <= 0 for v in self.c):
             raise ValueError("constraint targets must be positive")
+        if not all(map(math.isfinite, self.c)):
+            raise ValueError("constraint targets must be finite")
 
 
 def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiField:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import CouplingG, EnergyModel, IntegrandJ, KernelV, LocalTermF
+from .energy import CouplingG, EnergyModel, IntegrandJ, LocalTermF
 
 
 def _dampened_dirichlet() -> IntegrandJ:
@@ -47,8 +47,10 @@ def _sum_of_squares(m: int) -> CouplingG:
     )
 
 
-def _coulomb() -> KernelV:
-    return KernelV(v=lambda r: 1.0 / r)
+def _coulomb(r):
+    """V(r) = 1/r.  One module-level function, so every model with this
+    kernel shares one cached transform per grid (energy.kernel_transform)."""
+    return 1.0 / r
 
 
 def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:
@@ -56,7 +58,7 @@ def example_paper(m: int = 1, dim: int = 3) -> EnergyModel:
         p=2.0,
         js=[_dampened_dirichlet() for _ in range(m)],
         G=_sum_of_squares(m),
-        V=_coulomb(),
+        V=_coulomb,
     )
 
 
@@ -72,7 +74,7 @@ def choquard(m: int = 1, dim: int = 3) -> EnergyModel:
         p=2.0,
         js=[_power_integrand(2.0) for _ in range(m)],
         G=_sum_of_squares(m),
-        V=_coulomb(),
+        V=_coulomb,
     )
 
 
@@ -85,7 +87,7 @@ def nonmonotone_g(dim: int = 3) -> EnergyModel:
         exponents_mu=(2.0, 2.0),
     )
     return EnergyModel(p=2.0, js=[_power_integrand(2.0) for _ in range(2)],
-                       G=g, V=_coulomb())
+                       G=g, V=_coulomb)
 
 
 def nonsupermodular_f(dim: int = 3) -> EnergyModel:

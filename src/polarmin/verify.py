@@ -131,8 +131,9 @@ def check_nonlocal_monotonicity(U: MultiField, model: EnergyModel,
 class TailProfile:
     """Tail masses of |v|^r for a sequence of fields.
 
-    Rows are indexed by the threshold lists; sup_* hold the supremum over
-    the sequence (the quantities of the equiintegrability definition).
+    Rows are indexed by the threshold lists; sup_exterior holds the
+    supremum over the sequence (a quantity of the equiintegrability
+    definition).
     """
 
     exponent: float
@@ -142,14 +143,6 @@ class TailProfile:
     small_value: np.ndarray   # (n_fields, len(deltas))
     large_value: np.ndarray
     exterior: np.ndarray
-
-    @property
-    def sup_small_value(self):
-        return self.small_value.max(axis=0)
-
-    @property
-    def sup_large_value(self):
-        return self.large_value.max(axis=0)
 
     @property
     def sup_exterior(self):
@@ -262,7 +255,6 @@ class SuiteSummary:
     (``magnitudes``).  ``suite.csv`` holds the lines only."""
 
     lines: list
-    seed: int
     sorts: int = 0
     magnitudes: int = 0
 
@@ -425,4 +417,4 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
                 magnitudes += 3
     if pool is not None:
         _trim_heap()
-    return SuiteSummary(lines, seed, sorts, magnitudes)
+    return SuiteSummary(lines, sorts, magnitudes)

@@ -45,7 +45,7 @@ def dense_kernel_matrix(V, spec):
         d = np.sqrt(d2)
         nz = d > 0.5 * spec.h
         block = mat[i:i + rows]
-        block[nz] = V.v(d[nz])
+        block[nz] = V(d[nz])
         block[~nz] = origin
     assert np.all(np.isfinite(mat))
     return mat

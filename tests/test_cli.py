@@ -531,6 +531,19 @@ class TestFieldInput:
         assert any(b < a for a, b in zip(dists, dists[1:]))
         assert final == dists[-1] < dists[0]
 
+    def test_symmetrize_huge_exponent_distance(self, tmp_path):
+        # sum |u - t|^p underflows to 0 at p = 1e300 for values below 1,
+        # which read as converged at iteration 0 before the rescaling
+        cfg = write_config(tmp_path,
+                           "command = symmetrize\ndim = 2\nn = 5\n"
+                           "p = 1e300\nmax_iter = 5\n")
+        out = tmp_path / "out"
+        assert main(["symmetrize", "--config", cfg, "--out", str(out)]) == 0
+        summary = dict(ln.split(" = ") for ln in
+                       (out / "summary.txt").read_text().splitlines())
+        assert summary["status"] == "max_iter_reached"
+        assert float(summary["final_rel_dist"]) > 0.5
+
     def test_grid_mismatch_rejected(self, tmp_path):
         spec = make_grid(1, 5, 4.0)
         path = tmp_path / "in.rfld"
@@ -612,6 +625,17 @@ class TestErrorsExitTwo:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: half-width must be at most 1e+30"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_tiny_half_width(self, tmp_path, capsys, command):
+        # h^(2N) would underflow to 0 in 3D, and the energy would read nan
+        cfg = write_config(tmp_path,
+                           f"command = {command}\ndim = 3\nn = 9\n"
+                           "trials = 1\nhalf_width = 1e-60\n")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: half-width must be at least 1e-30"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("m,n", [(1, 100001), (2, 103)])

@@ -5,10 +5,10 @@ import pytest
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from polarmin import energy, models
-from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, KernelV,
-                             LocalTermF, check_assumptions, discrete_gradient,
-                             eval_total, kernel_convolve, nonlocal_operator,
-                             origin_value, sample_kernel)
+from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, LocalTermF,
+                             check_assumptions, discrete_gradient, eval_total,
+                             kernel_convolve, kernel_transform, origin_value,
+                             sample_kernel)
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            lp_norm, make_grid)
 
@@ -23,6 +23,10 @@ COULOMB_CELL_CONSTANT = 2.378989717815892
 J_DIRICHLET = IntegrandJ(j=lambda s, b: b**2,
                          dj_ds=lambda s, b: np.zeros_like(np.asarray(s, float)),
                          dj_db=lambda s, b: 2.0 * b)
+
+
+def coulomb(r):
+    return 1.0 / r
 
 
 def e1_only_model(p=2.0):
@@ -87,7 +91,7 @@ class TestKernel:
     def test_constant_kernel(self):
         spec = make_grid(2, 17, 1.0)
         # the cell average of ones, the zero offset's value, is exactly 1.0
-        V = KernelV(v=lambda r: np.ones_like(r))
+        V = np.ones_like
         k = sample_kernel(V, spec)
         assert k.shape == (32, 32)
         assert np.all(k == 1.0)
@@ -95,13 +99,13 @@ class TestKernel:
     def test_coulomb_origin_cell_average(self):
         for n, L in ((5, 2.0), (9, 2.0)):
             spec = make_grid(3, n, L)
-            V = KernelV(v=lambda r: 1.0 / r)
+            V = coulomb
             assert origin_value(V, spec) == pytest.approx(
                 COULOMB_CELL_CONSTANT / spec.h, rel=1e-12)
 
     def test_sampled_coulomb_non_increasing_in_radius(self):
         spec = make_grid(3, 5, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r)
+        V = coulomb
         k = sample_kernel(V, spec)
         size = k.shape[0]
         d = np.r_[0:5, -4:0]
@@ -117,7 +121,7 @@ class TestKernel:
     def test_bits_of_padded_grid_radii(self, dim, n):
         spec = make_grid(dim, n, 3.7)
         padded = make_grid(dim, 2 * n - 1, 7.4)
-        V = KernelV(v=lambda r: 1.0 / r)
+        V = coulomb
         k = sample_kernel(V, spec)
         # k holds offset d at d mod M, sampled at the radius of |d|: padded
         # index n - 1 + |d|
@@ -125,7 +129,7 @@ class TestKernel:
         src = n - 1 + np.abs(d)
         dst = d % k.shape[0]
         with np.errstate(divide="ignore"):  # the padded centre may be 0
-            expected = V.v(padded.radii[np.ix_(*[src] * dim)])
+            expected = V(padded.radii[np.ix_(*[src] * dim)])
         expected[(0,) * dim] = origin_value(V, spec)
         assert np.array_equal(k[np.ix_(*[dst] * dim)], expected)
 
@@ -135,7 +139,7 @@ class TestKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_even_along_each_axis(self, dim, n):
         spec = make_grid(dim, n, 3.7)
-        k = sample_kernel(KernelV(v=lambda r: 1.0 / r), spec)
+        k = sample_kernel(coulomb, spec)
         size = k.shape[0]
         assert size == {17: 32, 99: 200}[n]
         for axis in range(dim):
@@ -147,7 +151,7 @@ class TestKernel:
     @pytest.mark.parametrize("dim,n", [(1, 99), (2, 9), (3, 5)])
     def test_origin_entry_is_origin_value(self, dim, n):
         spec = make_grid(dim, n, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r)
+        V = coulomb
         assert sample_kernel(V, spec)[(0,) * dim] == origin_value(V, spec)
 
 
@@ -164,12 +168,13 @@ class TestNonlocalOperator:
                              + [(1, 99), (1, 197)])
     def test_matches_dense_sum(self, dim, n):
         spec = make_grid(dim, n, 2.0)
-        V = KernelV(v=lambda r: 1.0 / r)
+        V = coulomb
         g = np.random.default_rng(n).random(spec.shape)
         expected = dense_sum(g, V, spec)
-        op = nonlocal_operator(V, spec)
-        assert op.fft_shape == (next_fast_len(2 * n - 2, real=True),) * dim
-        got = kernel_convolve(g, op)
+        kernel_hat = kernel_transform(V, spec)
+        size = next_fast_len(2 * n - 2, real=True)
+        assert kernel_hat.shape == (size,) * (dim - 1) + (size // 2 + 1,)
+        got = kernel_convolve(g, kernel_hat)
         assert got.shape == spec.shape
         assert np.max(np.abs(got - expected)) <= (
             1e-12 * np.max(np.abs(expected)))
@@ -177,11 +182,36 @@ class TestNonlocalOperator:
     def test_cache_hit_and_bounded(self):
         V = models.choquard(m=1, dim=3).V
         spec = make_grid(3, 5, 2.0)
-        assert nonlocal_operator(V, spec) is nonlocal_operator(V, spec)
+        assert kernel_transform(V, spec) is kernel_transform(V, spec)
         for n in (3, 5, 7, 9, 11, 13, 15):
-            nonlocal_operator(V, make_grid(2, n, 2.0))
-            info = nonlocal_operator.cache_info()
+            kernel_transform(V, make_grid(2, n, 2.0))
+            info = kernel_transform.cache_info()
             assert info.maxsize == 4 and info.currsize <= 4
+
+    def test_catalogue_models_share_one_transform(self):
+        # every example_paper() model holds the one module-level Coulomb
+        # kernel, so five models on one grid sample and transform it once
+        spec = make_grid(3, 17, 2.0)
+        U = MultiField([ScalarField(spec, np.ones(spec.shape))])
+        kernel_transform.cache_clear()
+        for _ in range(5):
+            eval_total(U, models.example_paper(m=1, dim=3))
+        info = kernel_transform.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+
+    def test_two_kernels_two_entries(self):
+        spec = make_grid(2, 9, 2.0)
+        kernel_transform.cache_clear()
+        a = kernel_transform(coulomb, spec)
+        b = kernel_transform(np.ones_like, spec)
+        info = kernel_transform.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert not np.array_equal(a, b)
+
+    def test_transform_read_only(self):
+        kernel_hat = kernel_transform(coulomb, make_grid(1, 9, 2.0))
+        with pytest.raises(ValueError):
+            kernel_hat[0] = 0.0
 
 
 # the TestNonlocalOperator grids, plus 3D n=17 and n=33
@@ -207,16 +237,16 @@ class TestScipyOracle:
     @pytest.mark.parametrize("dim,n", SCIPY_ORACLE_GRIDS)
     def test_fft_convolution_bits(self, dim, n):
         spec = make_grid(dim, n, 2.0)
-        op = nonlocal_operator(models.choquard(m=1, dim=dim).V, spec)
-        self.assert_same_bits(op.kernel_hat,
-                              rfftn(sample_kernel(op.V, spec)))
+        V = models.choquard(m=1, dim=dim).V
+        kernel_hat = kernel_transform(V, spec)
+        self.assert_same_bits(kernel_hat, rfftn(sample_kernel(V, spec)))
+        shape = (next_fast_len(2 * n - 2, real=True),) * dim
         rng = np.random.default_rng(n)
         # the clamped field has exact zeros, as minimize's iterates do
         for g in (rng.random(spec.shape),
                   np.maximum(rng.random(spec.shape) - 0.5, 0.0)):
-            full = irfftn(rfftn(g, op.fft_shape) * op.kernel_hat,
-                          op.fft_shape)
-            self.assert_same_bits(kernel_convolve(g, op),
+            full = irfftn(rfftn(g, shape) * kernel_hat, shape)
+            self.assert_same_bits(kernel_convolve(g, kernel_hat),
                                   full[tuple(slice(n) for _ in range(dim))])
 
 

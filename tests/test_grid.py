@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin.grid import (MAX_HALF_WIDTH, MAX_POINTS, FieldFormatError,
+from polarmin.grid import (MAX_HALF_WIDTH, MAX_POINTS, MIN_HALF_WIDTH,
+                           FieldFormatError,
                            MultiField, ScalarField, axis_derivative,
                            axis_derivative_adjoint, axis_sum,
                            gradient_components, gradient_magnitude, lp_norm,
@@ -54,6 +55,12 @@ class TestMakeGrid:
         assert math.isfinite(spec.cell_volume**2)
         for L in (math.nextafter(MAX_HALF_WIDTH, math.inf), 1e160, math.inf):
             with pytest.raises(ValueError, match="at most"):
+                make_grid(1, 3, L)
+        # the smallest box keeps it nonzero in 3D at the largest grid
+        spec = make_grid(3, 127, MIN_HALF_WIDTH)
+        assert spec.cell_volume**2 > 0.0
+        for L in (math.nextafter(MIN_HALF_WIDTH, 0.0), 1e-60, 5e-324):
+            with pytest.raises(ValueError, match="at least 1e-30"):
                 make_grid(1, 3, L)
 
     def test_point_count_bound(self):
@@ -134,11 +141,31 @@ class TestLpNorm:
                 for p in (1.0, 1.5, 2.0, 3.5):
                     v = np.sort(np.abs(vals).ravel())
                     plain = float(np.sum(v**p)) * spec.cell_volume
-                    if math.isfinite(plain):
+                    if np.finfo(float).tiny <= plain < math.inf:
                         assert (lp_norm(ScalarField(spec, vals), p)
                                 == plain ** (1.0 / p))
                         checked += 1
-        assert checked == 18  # the other 2 of the 20 pairs overflow
+        # of the other 3 of the 20 pairs, 2 overflow and 1 underflows
+        assert checked == 17
+
+    @pytest.mark.parametrize("p", [3.5, 1e6, 1e300])
+    def test_underflowing_sums_rescaled(self, p):
+        # sum |u|^p underflows to 0 for values 1e-100 at p = 3.5 and for
+        # values below 1 at huge p; the maximum is factored out instead
+        spec = make_grid(1, 5, 1.0)
+        vals = np.array([0.1, 0.2, 0.5, 0.2, 0.1])
+        scale = 1e-100 if p == 3.5 else 1.0
+        got = lp_norm(ScalarField(spec, scale * vals), p)
+        expected = scale * 0.5 * (float(np.sum((vals / 0.5) ** p))
+                                  * spec.cell_volume) ** (1.0 / p)
+        assert got == pytest.approx(expected, rel=1e-14) and got > 0.0
+        perm = ScalarField(spec, scale * vals[::-1].copy())
+        assert lp_norm(perm, p) == got
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, -math.inf])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(field_1d([0.1, 0.2, 0.5, 0.2, 0.1], 1.0), p)
 
 
 class TestDerivatives:
@@ -291,6 +318,7 @@ class TestFieldFile:
     @pytest.mark.parametrize("header,match", [
         ("3 1 100001 2.0", "grid must have at most 2097152 points"),
         ("1 2 2097151 2.0", "m \\* n\\^N must be at most 2097152"),
+        ("3 1 9 1e-60", "half-width must be at least 1e-30"),
     ])
     def test_header_size_bound(self, tmp_path, header, match):
         path = tmp_path / "u.rfld"

@@ -81,6 +81,11 @@ class TestProjection:
         with pytest.raises(ValueError, match="positive"):
             ConstraintVector((1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_targets_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintVector((1.0, bad))
+
 
 class TestDiscreteGradient:
     @pytest.mark.parametrize("name,m", [("example_paper", 1),
