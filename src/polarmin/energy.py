@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 
 import numpy as np
 
+from . import _worker
 from .grid import (GridSpec, MultiField, ScalarField, _magnitude, axis_sum,
                    axis_derivative_adjoint, gradient_components,
                    gradient_magnitude)
@@ -179,17 +181,51 @@ def _fast_len(target: int) -> int:
         size += 1
 
 
+# Smallest rfftn spectrum, in points, whose convolution passes run in two
+# halves on two cores (3D n >= 27, 2D n >= 183).  Each phase costs a handoff
+# to the worker thread.  Measured on a 2-core Xeon VM, split against one
+# core, calls alternating in one process: 17^3 (17408 points) 906 against
+# 521 us; 25^3 (57600) faster in 67% of calls; 2D n=193 (74112) in 94%,
+# 2073 against 3224 us; 33^3 (135168) in 98%, 3462 against 6044 us.
+_SPLIT_MIN = 2**16
+
+# each thread's two work arrays for its last grid shape
+_local = threading.local()
+
+
 def _spectrum_buffers(size: int, dim: int) -> list:
     """Two work arrays of the rfftn shape (M, ..., M, M // 2 + 1), which
-    the passes of _rfft_padded and kernel_convolve write in turn."""
+    the passes of _forward_passes and kernel_convolve write in turn."""
     shape = (size,) * (dim - 1) + (size // 2 + 1,)
     return [np.empty(shape, dtype=complex) for _ in range(2)]
 
 
-def _rfft_padded(a: np.ndarray, size: int, work: list) -> np.ndarray:
-    """rfftn of a zero-padded to size along every axis, as a view of one
-    of the two arrays of work (_spectrum_buffers).
+def _work_arrays(size: int, dim: int) -> list:
+    """The calling thread's _spectrum_buffers for this shape, kept for its
+    next convolution and replaced when the shape changes."""
+    if getattr(_local, "key", None) != (size, dim):
+        _local.work = None  # free the old pair before making the new one
+        _local.work = _spectrum_buffers(size, dim)
+        _local.key = (size, dim)
+    return _local.work
 
+
+def _part(index: tuple, part) -> tuple:
+    """index with part = (axis, slice) in place of its slice along axis;
+    index's own slice there starts at 0 and covers part's.  part None
+    leaves index as it is."""
+    if part is None:
+        return index
+    axis, s = part
+    return index[:axis] + (s,) + index[axis + 1:]
+
+
+def _forward_passes(a: np.ndarray, size: int, work: list) -> list:
+    """The passes of the rfftn of a zero-padded to size along every axis.
+
+    Each pass is (axes, extents, run): the axes it transforms, the shape
+    of the array it reads, and run(part), which transforms the lines whose
+    index along part's axis lies in part's slice (part None: every line).
     The axes run as in scipy.fft.rfftn: the real transform along the last
     axis, then the complex one along axes 0, 1, ....  Each pass pads only
     its own axis, so lines that are all padding are never transformed
@@ -199,15 +235,49 @@ def _rfft_padded(a: np.ndarray, size: int, work: list) -> np.ndarray:
     work[(a.ndim - 1) % 2].
     """
     lead = a.ndim - 1
+    half = size // 2 + 1
+    every = (slice(None),) * a.ndim
 
     def block(k):  # axes 0..k-1 transformed to length size
-        return (slice(None),) * k + tuple(slice(n) for n in a.shape[k:lead])
+        return ((slice(None),) * k + tuple(slice(n) for n in a.shape[k:lead])
+                + (slice(None),))
 
-    out = np.fft.rfft(a, size, axis=-1, out=work[0][block(0)])
+    def rfft(part):
+        np.fft.rfft(a[_part(every, part)], size, axis=-1,
+                    out=work[0][_part(block(0), part)])
+
+    passes = [((lead,), a.shape, rfft)]
     for k in range(lead):
-        out = np.fft.fft(out, size, axis=k,
-                         out=work[(k + 1) % 2][block(k + 1)])
-    return out
+        def fft(part, k=k):
+            np.fft.fft(work[k % 2][_part(block(k), part)], size, axis=k,
+                       out=work[(k + 1) % 2][_part(block(k + 1), part)])
+        passes.append(((k,), (size,) * k + a.shape[k:lead] + (half,), fft))
+    return passes
+
+
+def _phases(passes: list, dim: int) -> list:
+    """passes grouped into phases that split along one axis, as
+    (axis, extent, runs).
+
+    A pass joins the phase before it while both leave one axis
+    untransformed; the phase splits along the first such axis.  Axes
+    before the last are preferred: halves along the last axis cut every
+    contiguous row, and a 3D phase split so ran slower than two phases
+    split along other axes.  kernel_convolve lists the phases this gives.
+    dim is 2 or 3.
+    """
+    last = dim - 1
+    phases = []  # [untransformed axes, extents, runs]
+    for axes, extents, run in passes:
+        if phases:
+            free = phases[-1][0] - set(axes)
+            if free and (min(free) < last or min(phases[-1][0]) == last):
+                phases[-1][0] = free
+                phases[-1][2].append(run)
+                continue
+        phases.append([set(range(dim)) - set(axes), extents, [run]])
+    return [(min(free), extents[min(free)], runs)
+            for free, extents, runs in phases]
 
 
 @functools.lru_cache(maxsize=4)
@@ -222,13 +292,16 @@ def kernel_transform(V: callable, spec: GridSpec) -> np.ndarray:
     the even kernel gives one value; so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
     (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
-    array is _rfft_padded of the sampled kernel, the bits of
-    scipy.fft.rfftn, and is read-only, since the cache shares it.
+    array comes from _forward_passes of the sampled kernel, the bits of
+    scipy.fft.rfftn, in arrays of its own, and is read-only, since the
+    cache shares it.
     """
     kernel = sample_kernel(V, spec)
     size = kernel.shape[-1]
-    kernel_hat = _rfft_padded(kernel, size,
-                              _spectrum_buffers(size, kernel.ndim))
+    work = _spectrum_buffers(size, kernel.ndim)
+    for _, _, run in _forward_passes(kernel, size, work):
+        run(None)
+    kernel_hat = work[(kernel.ndim - 1) % 2]
     kernel_hat.flags.writeable = False
     return kernel_hat
 
@@ -241,31 +314,78 @@ def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     application goes through here, as the cyclic convolution of the
     circulant embedding.  It gives the bits of
     irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft.  The
-    forward pass is _rfft_padded.  The inverse runs the complex transforms
-    along axes 0, 1, ... and then the real one along the last axis, as
-    irfftn does, but keeps only the first n points of each axis before the
-    next pass, so no line that the final slice drops is transformed.  The
-    passes leave out the 1/M^N factor; one product applies it to each kept
-    point, as irfftn's last pass does.  The pruned passes do about 0.57 times
-    the line work of the full transforms in 3D, and 0.74 times in 2D.
-    Every pass writes into one of two work arrays made for this call
-    (_spectrum_buffers), the last into a real view of one of them, so the
-    only other array made is the result.
+    forward passes are _forward_passes.  The inverse runs the complex
+    transforms along axes 0, 1, ... and then the real one along the last
+    axis, as irfftn does, but keeps only the first n points of each axis
+    before the next pass, so no line that the final slice drops is
+    transformed.  The passes leave out the 1/M^N factor; one product
+    applies it to each kept point, as irfftn's last pass does.  The pruned
+    passes do about 0.57 times the line work of the full transforms in 3D,
+    and 0.74 times in 2D.
+
+    Every pass writes into the calling thread's two work arrays
+    (_work_arrays), the last into a real view of one of them, so the only
+    array made is the result.  The thread keeps them for its next call on
+    the same grid: 4.3 MB at 33^3 and 270 MB at 127^3, what one call
+    allocated before they were kept.
+
+    From 2D and 3D spectra of _SPLIT_MIN points on, the passes run in the
+    phases of _phases, each split along an axis that none of its passes
+    transforms, half on the calling thread and half on the package's
+    worker thread (_worker.in_halves), with one wait per phase.  In 3D:
+    the real transform and the one along axis 0, split along axis 1; the
+    transform along axis 1 and the kernel product, along axis 0; the
+    inverse along axis 0, along axis 1; the inverse along axis 1, the real
+    inverse and the scale, along axis 0.  In 2D: the real transform; the
+    transform along axis 0, the product and its inverse, split along the
+    last axis; the real inverse and the scale.  Below the gate, or with
+    one core, the passes run in order on the calling thread.  Each line
+    goes through the same transform call either way, so the result has the
+    same bits on any number of cores.  The worker's halves call numpy
+    only: no traced public function runs off the calling thread.
     """
-    size = _fast_len(2 * g.shape[-1] - 2)
-    work = _spectrum_buffers(size, g.ndim)
-    full = _rfft_padded(g, size, work)
-    np.multiply(full, kernel_hat, out=full)
-    side = (g.ndim - 1) % 2  # the work array that holds full
-    for k, n in enumerate(g.shape[:-1]):
-        side = 1 - side
-        out = np.fft.ifft(full, axis=k, norm="forward",
-                          out=work[side][(slice(n),) * k])
-        full = out[(slice(None),) * k + (slice(n),)]
-    real = work[1 - side].view(np.float64)[
-        tuple(slice(n) for n in g.shape[:-1]) + (slice(size),)]
-    out = np.fft.irfft(full, size, axis=-1, norm="forward", out=real)
-    return out[..., :g.shape[-1]] * (1.0 / size**g.ndim)
+    n, dim = g.shape[-1], g.ndim
+    size = _fast_len(2 * n - 2)
+    half = size // 2 + 1
+    work = _work_arrays(size, dim)
+    result = np.empty(g.shape)
+    lead = dim - 1
+    every = (slice(None),) * dim
+    passes = _forward_passes(g, size, work)
+
+    def product(part):
+        spectrum = work[lead % 2][_part(every, part)]
+        np.multiply(spectrum, kernel_hat[_part(every, part)], out=spectrum)
+
+    passes.append(((), (size,) * lead + (half,), product))
+    for k in range(lead):
+        kept = (slice(n),) * k + (slice(None),) * (dim - k)
+
+        def ifft(part, k=k, kept=kept):
+            np.fft.ifft(work[(lead + k) % 2][_part(kept, part)], axis=k,
+                        norm="forward",
+                        out=work[(lead + k + 1) % 2][_part(kept, part)])
+
+        passes.append(((k,), (n,) * k + (size,) * (lead - k) + (half,), ifft))
+    kept = (slice(n),) * lead + (slice(None),)
+    real = work[1].view(np.float64)[(slice(n),) * lead + (slice(size),)]
+
+    def irfft(part):
+        out = real[_part(every, part)]
+        np.fft.irfft(work[0][_part(kept, part)], size, axis=-1,
+                     norm="forward", out=out)
+        np.multiply(out[..., :n], 1.0 / size**dim,
+                    out=result[_part(every, part)])
+
+    passes.append(((lead,), (n,) * lead + (half,), irfft))
+    if dim < 2 or kernel_hat.size < _SPLIT_MIN:
+        for _, _, run in passes:
+            run(None)
+        return result
+    for axis, extent, runs in _phases(passes, dim):
+        _worker.in_halves(
+            lambda s: [run((axis, s)) for run in runs], extent)
+    return result
 
 
 def _nonlocal_sum(U: MultiField, model: EnergyModel) -> tuple:

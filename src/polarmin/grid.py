@@ -147,13 +147,12 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _lp_norm_sorted(v: np.ndarray, p: float, hN: float,
-                    powers: np.ndarray | None = None) -> float:
+                    s: float | None = None) -> float:
     """lp_norm from the ascending |values| v and the cell volume hN;
-    powers is v**p, when the caller has made it."""
-    with np.errstate(over="ignore"):
-        if powers is None:
-            powers = v**p
-        s = float(np.sum(powers)) * hN
+    s is float(np.sum(v**p)) * hN, when the caller has made it."""
+    if s is None:
+        with np.errstate(over="ignore"):
+            s = float(np.sum(v**p)) * hN
     if not _TINY <= s < np.inf and v[-1] > 0:
         # |u|^p overflows (above about 1e154 at p=2) or underflows (below
         # about 1e-154, or at huge p) for finite nonzero fields: factor out
@@ -310,12 +309,14 @@ def read_field(path) -> MultiField:
     except ValueError as err:
         raise FieldFormatError(f"line 2: {err}") from None
     expected = m * spec.num_points
-    # one pass over every token; the per-line loop runs only to name the
-    # line of the first bad or non-finite value (both use Python float, so
-    # both give the same bits)
-    tokens = chain.from_iterable(map(str.split, lines[2:]))
+    # one numpy conversion of every token; the per-line loop runs only to
+    # name the line of the first bad or non-finite value.  numpy parses a
+    # string with the grammar and rounding of Python float (digits of any
+    # script, underscores between digits, "infinity"), so both give the
+    # same values and reject the same tokens.
+    tokens = list(chain.from_iterable(map(str.split, lines[2:])))
     try:
-        data = np.fromiter(map(float, tokens), float)
+        data = np.array(tokens, dtype=np.float64)
         valid = bool(np.all(np.isfinite(data)))
     except ValueError:
         valid = False

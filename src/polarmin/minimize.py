@@ -26,6 +26,16 @@ from .grid import (GridSpec, MultiField, ScalarField, axis_sum,
 from .rearrange import schwarz, schwarz_multi, symmetry_deficit
 
 
+# Largest and smallest accepted constraint target c.  The energies multiply
+# up to four c-scaled field values, and the descent steps scale with c.
+# minimize with every catalogue model, both inits, dims 1-3 and half-widths
+# from grid.MIN_HALF_WIDTH to grid.MAX_HALF_WIDTH runs without a floating
+# point warning at both bounds; 1e20 at half-width 1e30 and 1e-300 at 1e-30
+# do not (overflow in project_constraints, division by zero).
+MAX_TARGET = 1e10
+MIN_TARGET = 1e-10
+
+
 @dataclasses.dataclass
 class ConstraintVector:
     c: tuple
@@ -36,6 +46,12 @@ class ConstraintVector:
             raise ValueError("constraint targets must be positive")
         if not all(map(math.isfinite, self.c)):
             raise ValueError("constraint targets must be finite")
+        if max(self.c) > MAX_TARGET:
+            raise ValueError(
+                f"constraint targets must be at most {MAX_TARGET:g}")
+        if min(self.c) < MIN_TARGET:
+            raise ValueError(
+                f"constraint targets must be at least {MIN_TARGET:g}")
 
 
 def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiField:

@@ -9,11 +9,10 @@ interfaces contribute O(h) mismatched cells.
 from __future__ import annotations
 
 import dataclasses
-import os
-from contextlib import nullcontext
 
 import numpy as np
 
+from . import _worker
 from .energy import (EnergyModel, IntegrandJ, _nonlocal_sum,
                      _require_finite)
 from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
@@ -271,14 +270,6 @@ _CHECKS = ("equimeasurability", "lp_norm_exact", "value_invariance_exact",
 _ROUND = 64
 
 
-def _cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _trim_heap() -> None:
     """Hand the free pages of every malloc arena back to the system,
     where the C library offers malloc_trim (glibc).
@@ -313,14 +304,13 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
 
     Each round draws up to ``_ROUND`` trials' bumps and half-spaces from
     the one generator, in trial order, and then evaluates them: the first
-    half on the calling thread, the second on one worker thread when a
-    second core is available.  A trial's numpy work releases the GIL.  The
-    outcomes are recorded in trial order, so the lines and counts are the
-    same on any number of cores; a trial that raises stops the suite with
-    the error of the first such trial, as in one thread.
+    half on the calling thread, the second on the package's worker thread
+    when a second core is available (_worker.in_halves).  A trial's numpy
+    work releases the GIL.  The outcomes are recorded in trial order, so
+    the lines and counts are the same on any number of cores; a trial that
+    raises stops the suite with the error of the first such trial, as in
+    one thread.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -334,7 +324,7 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
 
     def value_integral(squares):
         # the terms of j(s) = |s|^2, already in the ascending order that
-        # _j_integral sums them in
+        # _j_integral sums them in; also the sum behind the L^2 norm
         _require_finite(squares, "integrand")
         return float(np.sum(squares)) * hN
 
@@ -362,14 +352,15 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
             same = (np.array_equal(sorted_u, sorted_uh)
                     and np.array_equal(sorted_u, sorted_us))
 
-            # the squares of each sorted array, made once: j(s) = |s|^2
-            # is nondecreasing in |s|, so they are the ascending terms that
-            # the L^2 norm, the value integral and the value tails all sum
+            # the squares of each sorted array, made and summed once:
+            # j(s) = |s|^2 is nondecreasing in |s|, so they are the
+            # ascending terms that the L^2 norm, the value integral and the
+            # value tails all sum, and the norm's sum is the integral
             norms, integrals, tails = [], [], []
             for a in (sorted_u, sorted_uh, sorted_us):
                 sq = np.square(a)
-                norms.append(_lp_norm_sorted(a, 2.0, hN, sq))
                 integrals.append(value_integral(sq))
+                norms.append(_lp_norm_sorted(a, 2.0, hN, integrals[-1]))
                 tails.append(_value_tails(a, sq, (0.1,), (0.5,), hN))
             small, large = zip(*tails)
 
@@ -388,33 +379,26 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
 
     lines = [SuiteLine(check, 0, 0, np.inf, 0.0) for check in _CHECKS]
     sorts = magnitudes = 0
-    with ThreadPoolExecutor(1) if _cores() > 1 else nullcontext() as pool:
-        for start in range(0, trials, _ROUND):
-            draws = [(bump_params(rng, spec.dim, spec.half_width),
-                      family[rng.integers(len(family))])
-                     for _ in range(min(_ROUND, trials - start))]
-            half = (len(draws) + 1) // 2 if pool else len(draws)
-            rest = (pool.submit(evaluate, draws[half:]) if draws[half:]
-                    else None)
-            # an error here comes from an earlier trial than any of the
-            # worker's, so it is the one raised: leaving the block waits
-            # for the worker and drops its result
-            outcomes = evaluate(draws[:half])
-            if rest is not None:
-                outcomes += rest.result()
-
-            for outcome in outcomes:
-                for line, (passed, slack, tol) in zip(lines, outcome):
-                    # worst_slack and tolerance both come from the trial
-                    # with the least slack, the first of them on a tie
-                    line.trials += 1
-                    line.passes += int(passed)
-                    if slack < line.worst_slack:
-                        line.worst_slack, line.tolerance = slack, tol
-                # three sorts for the value checks and one per
-                # _j_integral, each of which builds one |Du|
-                sorts += 6
-                magnitudes += 3
-    if pool is not None:
+    for start in range(0, trials, _ROUND):
+        draws = [(bump_params(rng, spec.dim, spec.half_width),
+                  family[rng.integers(len(family))])
+                 for _ in range(min(_ROUND, trials - start))]
+        # an error of the first half comes from an earlier trial than any
+        # of the second's, so it is the one raised
+        halves = _worker.in_halves(lambda part: evaluate(draws[part]),
+                                   len(draws))
+        for outcome in (o for half in halves for o in half):
+            for line, (passed, slack, tol) in zip(lines, outcome):
+                # worst_slack and tolerance both come from the trial with
+                # the least slack, the first of them on a tie
+                line.trials += 1
+                line.passes += int(passed)
+                if slack < line.worst_slack:
+                    line.worst_slack, line.tolerance = slack, tol
+            # three sorts for the value checks and one per _j_integral,
+            # each of which builds one |Du|
+            sorts += 6
+            magnitudes += 3
+    if _worker.cores() > 1:
         _trim_heap()
     return SuiteSummary(lines, sorts, magnitudes)

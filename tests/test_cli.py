@@ -626,6 +626,37 @@ class TestErrorsExitTwo:
         assert capsys.readouterr().err.splitlines() == [
             "error: half-width must be at most 1e+30"]
 
+    @pytest.mark.parametrize("c,message", [
+        (1e150, "at most 1e+10"), (1e-300, "at least 1e-10")])
+    def test_target_out_of_bounds(self, tmp_path, capsys, c, message):
+        # at 1e150 the energies overflow and residual_1 read nan; at 1e-300
+        # the run died in a division by zero
+        cfg = write_config(tmp_path, "command = minimize\ndim = 3\nn = 9\n"
+                           f"c = {c!r}\n")
+        code = main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: constraint targets must be {message}"]
+
+    @pytest.mark.parametrize("model,m", [("example_paper", 1),
+                                         ("nonmonotone_g", 2)])
+    @pytest.mark.parametrize("c", [1e10, 1e-10])
+    def test_bounding_targets_run_clean(self, tmp_path, model, m, c):
+        # the largest and smallest accepted targets raise no floating point
+        # warning and write finite values
+        cfg = write_config(tmp_path,
+                           f"command = minimize\ndim = 3\nn = 9\nm = {m}\n"
+                           f"model = {model}\nc = {', '.join([repr(c)] * m)}"
+                           "\nmax_steps = 5\nk_pol = 2\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        values = [line.split(" = ")[1] for line in
+                  (out / "diagnostics.txt").read_text().splitlines()]
+        assert all(math.isfinite(float(v)) for v in values
+                   if v not in ("converged", "stalled", "max_steps_reached"))
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_tiny_half_width(self, tmp_path, capsys, command):
         # h^(2N) would underflow to 0 in 3D, and the energy would read nan

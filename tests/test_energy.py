@@ -1,10 +1,17 @@
 import dataclasses
+import gc
+import os
+import signal
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from polarmin import energy, models
+from polarmin import _worker, energy, models
 from polarmin.energy import (CouplingG, EnergyModel, IntegrandJ, LocalTermF,
                              check_assumptions, discrete_gradient, eval_total,
                              kernel_convolve, kernel_transform, origin_value,
@@ -214,9 +221,11 @@ class TestNonlocalOperator:
             kernel_hat[0] = 0.0
 
 
-# the TestNonlocalOperator grids, plus 3D n=17 and n=33
+# the TestNonlocalOperator grids, plus 3D n=17 and n=33; 3D n=33 and 2D
+# n=193 and n=257 lie above energy._SPLIT_MIN, so on two cores their passes
+# run in halves
 SCIPY_ORACLE_GRIDS = [(d, n) for d in (1, 2, 3) for n in (3, 9, 13, 17)] + [
-    (1, 99), (1, 197), (3, 33)]
+    (1, 99), (1, 197), (2, 193), (2, 257), (3, 33)]
 
 
 class TestScipyOracle:
@@ -248,6 +257,202 @@ class TestScipyOracle:
             full = irfftn(rfftn(g, shape) * kernel_hat, shape)
             self.assert_same_bits(kernel_convolve(g, kernel_hat),
                                   full[tuple(slice(n) for _ in range(dim))])
+
+
+def convolution_case(dim, n):
+    spec = make_grid(dim, n, 2.0)
+    kernel_hat = kernel_transform(models.choquard(m=1, dim=dim).V, spec)
+    rng = np.random.default_rng(n)
+    return np.maximum(rng.random(spec.shape) - 0.5, 0.0), kernel_hat
+
+
+# grids whose spectra lie below and above energy._SPLIT_MIN
+SPLIT_GRIDS = [(3, 17), (2, 129), (2, 193), (2, 257), (3, 33)]
+
+
+class TestSplitConvolution:
+    """kernel_convolve runs its passes in halves on the package's worker
+    thread above energy._SPLIT_MIN; these pin that it gives the bits of one
+    core, never waits for itself, and keeps one pair of work arrays per
+    thread."""
+
+    @staticmethod
+    def cores(monkeypatch, count):
+        monkeypatch.setattr(_worker, "cores", lambda: count)
+
+    @staticmethod
+    def serial(monkeypatch, g, kernel_hat):
+        with monkeypatch.context() as m:
+            TestSplitConvolution.cores(m, 1)
+            return kernel_convolve(g, kernel_hat)
+
+    @staticmethod
+    def worker_takes_second_half(monkeypatch):
+        """Make every split of in_halves run its second half on the worker:
+        the first half waits until the worker has started the second.
+        Returns the set of threads that ran a half."""
+        threads = set()
+        real = _worker.in_halves
+
+        def in_halves(fn, extent):
+            started = threading.Event()
+
+            def spy(part):
+                threads.add(threading.get_ident())
+                if part.start == 0:
+                    assert started.wait(timeout=60)
+                else:
+                    started.set()
+                return fn(part)
+
+            return real(spy, extent)
+
+        monkeypatch.setattr(_worker, "in_halves", in_halves)
+        return threads
+
+    @pytest.mark.parametrize("dim,n", SPLIT_GRIDS)
+    def test_one_and_two_cores_same_bits(self, monkeypatch, dim, n):
+        g, kernel_hat = convolution_case(dim, n)
+        serial = self.serial(monkeypatch, g, kernel_hat)
+        self.cores(monkeypatch, 2)
+        threads = self.worker_takes_second_half(monkeypatch)
+        assert same_bits(kernel_convolve(g, kernel_hat), serial)
+        split = kernel_hat.size >= energy._SPLIT_MIN
+        assert len(threads) == (2 if split else 0)
+
+    def test_unstarted_half_runs_on_the_caller(self, monkeypatch):
+        self.cores(monkeypatch, 2)
+        release = threading.Event()
+        busy = _worker._executor().submit(release.wait, 60)
+        try:
+            threads = []
+            assert _worker.in_halves(
+                lambda part: threads.append(threading.get_ident()) or part,
+                5) == [slice(0, 3), slice(3, 5)]
+            assert threads == [threading.get_ident()] * 2
+        finally:
+            release.set()
+        assert busy.result(timeout=60)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        self.cores(monkeypatch, 2)
+        _worker._executor().submit(int).result()  # the parent's worker
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if its halves ran
+            signal.alarm(60)
+            threads = set()
+            started = threading.Event()
+
+            def fn(part):
+                threads.add(threading.get_ident())
+                if part.start == 0:
+                    started.wait(timeout=30)
+                else:
+                    started.set()
+                return part
+
+            ok = (_worker.in_halves(fn, 4) == [slice(0, 2), slice(2, 4)]
+                  and len(threads) == 2)
+            os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_call_from_the_worker_runs_inline(self, monkeypatch):
+        g, kernel_hat = convolution_case(3, 33)
+        serial = self.serial(monkeypatch, g, kernel_hat)
+        self.cores(monkeypatch, 2)
+        got = _worker._executor().submit(kernel_convolve, g, kernel_hat)
+        assert same_bits(got.result(timeout=60), serial)
+
+    def test_four_threads_at_once(self, monkeypatch):
+        cases = [convolution_case(*grid) for grid in ((2, 257), (3, 33))]
+        serial = [self.serial(monkeypatch, *case) for case in cases]
+        self.cores(monkeypatch, 2)
+        results, errors = {}, []
+
+        def run(k):
+            try:
+                for rep in range(3):
+                    for i, case in enumerate(cases):
+                        results[k, rep, i] = kernel_convolve(*case)
+            except Exception as err:  # reported by the main thread
+                errors.append(err)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 24
+        for (k, rep, i), got in results.items():
+            assert same_bits(got, serial[i])
+
+    @pytest.mark.parametrize("raising", [0, 1])
+    def test_error_raised_after_both_halves(self, monkeypatch, raising):
+        # both halves run, the second on the worker; the half that raises
+        # does so while the other is still running
+        self.cores(monkeypatch, 2)
+        started, finished = threading.Event(), []
+
+        def fn(part):
+            half = int(part.start != 0)
+            if half == 0:
+                assert started.wait(timeout=60)
+            else:
+                started.set()
+            if half == raising:
+                raise ValueError(f"half {half}")
+            time.sleep(0.05)
+            finished.append(half)
+
+        with pytest.raises(ValueError, match=f"^half {raising}$"):
+            _worker.in_halves(fn, 10)
+        assert finished == [1 - raising]
+
+    def test_first_half_error_wins(self, monkeypatch):
+        self.cores(monkeypatch, 2)
+        started = threading.Event()
+
+        def fn(part):
+            if part.start == 0:
+                assert started.wait(timeout=60)
+                time.sleep(0.05)  # the worker's half raises first
+            else:
+                started.set()
+            raise ValueError(f"from {part.start}")
+
+        with pytest.raises(ValueError, match="^from 0$"):
+            _worker.in_halves(fn, 4)
+
+    def test_work_arrays_per_thread_replaced_per_grid(self):
+        small, large = convolution_case(3, 9), convolution_case(2, 17)
+        kernel_convolve(*small)
+        work = energy._local.work
+        kernel_convolve(*small)
+        assert energy._local.work is work
+        gone = [weakref.ref(a) for a in work]
+        del work
+        kernel_convolve(*large)
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        assert [a.shape for a in energy._local.work] == [(32, 17)] * 2
+
+        other = []
+        thread = threading.Thread(
+            target=lambda: (kernel_convolve(*small),
+                            other.extend(energy._local.work)))
+        thread.start()
+        thread.join()
+        assert [a.shape for a in other] == [(16, 16, 9)] * 2
+        assert not any(a is b for a in other for b in energy._local.work)
 
 
 class TestNonlocal:

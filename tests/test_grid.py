@@ -349,8 +349,14 @@ class TestFieldFile:
                         for _ in range(2)])
         path = tmp_path / "u.rfld"
         write_field(U, path)
-        # also several tokens per line, tabs and blank lines
+        # also several tokens per line, tabs and blank lines, and tokens
+        # in the rarer corners of Python float's grammar: underscores,
+        # digits of other scripts, an underflow and a subnormal
         text = path.read_text().splitlines()
+        odd = ["1_0", "1e5_0", "\u0661\u0662\u0663", "\uff10.\uff15", "+.5",
+               "5.", "-0", "1e-400", "2.5e-324", "7E-1"]
+        text[2:2 + len(odd)] = odd
+        path.write_text("\n".join(text) + "\n")
         rows = ["\t".join(text[i:i + 5]) for i in range(2, len(text), 5)]
         packed = tmp_path / "packed.rfld"
         packed.write_text("\n".join(text[:2] + rows + ["", "  "]) + "\n")
@@ -366,7 +372,13 @@ class TestFieldFile:
         ({1999: "-inf"}, "line 2002: non-finite value"),
         ({1500: "inf", 1700: "x"}, "line 1503: non-finite value"),
         ({1500: "x", 1700: "nan"}, "line 1503: bad value 'x'"),
-    ], ids=["bad-past-1000", "nan", "inf", "inf-first", "bad-first"])
+        ({300: "0x10"}, "line 303: bad value '0x10'"),
+        ({300: "1__0"}, "line 303: bad value '1__0'"),
+        ({300: "1.5.2"}, "line 303: bad value '1.5.2'"),
+        ({300: "infinity"}, "line 303: non-finite value"),
+        ({300: "1e500"}, "line 303: non-finite value"),
+    ], ids=["bad-past-1000", "nan", "inf", "inf-first", "bad-first", "hex",
+            "double-underscore", "two-points", "infinity", "overflow"])
     def test_bad_value_names_its_line(self, tmp_path, tokens, match):
         spec = make_grid(3, 13, 1.0)  # 2197 values, one per line
         vals = [repr(x) for x in

@@ -12,7 +12,8 @@ from polarmin.energy import (EnergyModel, IntegrandJ, LocalTermF,
                              discrete_gradient, eval_total)
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            gradient_magnitude, lp_norm, make_grid)
-from polarmin.minimize import (ConstraintVector, MinimizeConfig, descent_step,
+from polarmin.minimize import (MAX_TARGET, MIN_TARGET, ConstraintVector,
+                               MinimizeConfig, descent_step,
                                dilate, dilation_scan, lagrange_residual,
                                minimize, project_constraints, symmetry_report)
 from polarmin.rearrange import schwarz, schwarz_multi, symmetry_deficit
@@ -85,6 +86,15 @@ class TestProjection:
     def test_targets_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ConstraintVector((1.0, bad))
+
+    def test_target_bounds(self):
+        assert ConstraintVector((MIN_TARGET, MAX_TARGET)).c == (1e-10, 1e10)
+        with pytest.raises(ValueError, match="^constraint targets must be "
+                           "at most 1e\\+10$"):
+            ConstraintVector((1.0, np.nextafter(MAX_TARGET, np.inf)))
+        with pytest.raises(ValueError, match="^constraint targets must be "
+                           "at least 1e-10$"):
+            ConstraintVector((np.nextafter(MIN_TARGET, 0.0), 1.0))
 
 
 class TestDiscreteGradient:

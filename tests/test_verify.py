@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarmin import cli, models, rearrange, verify
+from polarmin import _worker, cli, models, rearrange, verify
 from polarmin.energy import IntegrandJ, LocalTermF, eval_total
 from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            make_grid)
@@ -516,7 +516,7 @@ class TestSuiteThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
     def test_concurrent_suites_match_a_serial_run(self, monkeypatch):
-        # four suites at once, more threads than cores, each with its own
+        # four suites at once, more threads than cores, sharing the one
         # worker, on grid caches that start cold
         spec = make_grid(2, 13, 3.0)
         monkeypatch.setattr(verify, "_ROUND", 5)
@@ -570,6 +570,13 @@ class TestSuiteThreads:
 
         monkeypatch.setattr(verify, "eval_bumps", eval_bumps)
 
+    @staticmethod
+    def threads_with_worker():
+        """The live thread count once the package's worker, which lives as
+        long as the process, has started: a suite adds no thread to it."""
+        _worker._executor().submit(int).result()
+        return threading.active_count()
+
     def suite_error(self, monkeypatch, one_core, seed, trials, spec):
         with monkeypatch.context() as m:
             if one_core:
@@ -586,7 +593,7 @@ class TestSuiteThreads:
     def test_first_failing_trial_raises(self, monkeypatch, indices):
         spec = make_grid(2, 9, 2.0)
         self.overflow_in_trials(monkeypatch, 4, 6, spec, indices)
-        baseline = threading.active_count()
+        baseline = self.threads_with_worker()
         threaded = self.suite_error(monkeypatch, False, 4, 6, spec)
         assert threading.active_count() == baseline
         serial = self.suite_error(monkeypatch, True, 4, 6, spec)
@@ -599,7 +606,7 @@ class TestSuiteThreads:
                                            capsys):
         spec = make_grid(2, 9, 2.0)
         self.overflow_in_trials(monkeypatch, 4, 6, spec, (4,))
-        baseline = threading.active_count()
+        baseline = self.threads_with_worker()
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("dim = 2\nn = 9\nhalf_width = 2.0\ntrials = 6\n"
                        "seed = 4\n")
