@@ -17,9 +17,8 @@ from .minimize import (ConstraintVector, MinimizeConfig, MinimizeResult,
                        symmetry_report)
 from .verify import (InequalityReport, TailProfile,
                      check_local_monotonicity, check_nonlocal_monotonicity,
-                     check_polarization_invariance, check_polya_szego,
-                     equiintegrability_profile, random_bump_field,
-                     run_property_suite)
+                     check_polya_szego, equiintegrability_profile,
+                     random_bump_field, run_property_suite)
 from . import models
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -324,10 +324,8 @@ def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     and 0.74 times in 2D.
 
     Every pass writes into the calling thread's two work arrays
-    (_work_arrays), the last into a real view of one of them, so the only
-    array made is the result.  The thread keeps them for its next call on
-    the same grid: 4.3 MB at 33^3 and 270 MB at 127^3, what one call
-    allocated before they were kept.
+    (_work_arrays, 4.3 MB at 33^3 and 270 MB at 127^3), the last into a
+    real view of one of them, so the only array made is the result.
 
     From 2D and 3D spectra of _SPLIT_MIN points on, the passes run in the
     phases of _phases, each split along an axis that none of its passes

@@ -423,17 +423,15 @@ def _picks(schedule: PolarizationSchedule, n: int):
 def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     """Iterated polarizations driving U toward its Schwarz rearrangement.
 
-    Each iteration picks half-spaces from the admissible family: the next
-    one in order (sweep), one at random (random), or ``greedy_candidates``
-    distinct ones at random (greedy), of which the one whose polarization
-    lowers the distance objective most is the candidate.  ``_picks`` draws
-    the random picks of up to ``_PICK_BATCH`` iterations at once, the same
-    picks as one ``rng.integers`` or ``rng.choice`` call per iteration.  A
-    candidate polarization is only accepted if it strictly decreases the
-    distance objective to the target.  This keeps the recorded distance sequence
-    non-increasing even on tie shells of the discrete target, and rules out
-    cycles of equal-distance exchanges (a point mass can otherwise bounce
-    between mirror positions forever under a sweep schedule).
+    Each iteration picks half-spaces from the admissible family (``_picks``):
+    the next one in order (sweep), one at random (random), or
+    ``greedy_candidates`` distinct ones at random (greedy), of which the one
+    whose polarization lowers the distance objective most is the candidate.
+    A candidate polarization is only accepted if it strictly decreases the
+    distance objective to the target.  This keeps the recorded distance
+    sequence non-increasing even on tie shells of the discrete target, and
+    rules out cycles of equal-distance exchanges (a point mass can otherwise
+    bounce between mirror positions forever under a sweep schedule).
 
     Given enough iterations, the driver therefore settles at a fixed point
     of the admissible family: no admissible half-space strictly lowers the
@@ -454,14 +452,13 @@ def iterate_polarizations(U0: MultiField, schedule: PolarizationSchedule):
     U is held as its component arrays, from a copy of U0's to the one
     MultiField built, the returned one.  Each half-space's ``_block`` is
     built once per run, and non-negativity is checked once, by ``schwarz``
-    on the targets.  A half-space new to the current iterate first gets
-    the order test ``_moves``: when no point outside H holds more than its
-    mirror, polarizing gives back U (up to the sign of zeros, which
-    ``|u - t|`` drops), so its objective is the current one, bit for bit,
-    and is stored unscored, as for most candidates of a long greedy run.
-    Other candidates, and U at the start, are scored by
-    ``_polarized_objective`` in one buffer; every polarization runs
-    through ``_polarize_into``, and an accepted one writes fresh arrays.
+    on the targets.  A half-space new to the current iterate that
+    ``_moves`` finds to leave U unchanged (``|u - t|`` drops the sign of
+    zeros) keeps the current objective, bit for bit, unscored, as most
+    candidates of a long greedy run do.  Other candidates, and U at the
+    start, are scored by ``_polarized_objective`` in one buffer; every
+    polarization runs through ``_polarize_into``, and an accepted one
+    writes fresh arrays.
     """
     spec = U0.spec
     family = admissible_half_spaces(spec)

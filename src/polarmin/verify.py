@@ -1,9 +1,8 @@
 """Executable checks of the rearrangement inequalities on concrete fields.
 
 Exact-class checks (value-only integrals, equimeasurability, value tails)
-must hold to rounding; gradient-integral checks carry an h-dependent
-tolerance tol(h) = sqrt(h) * (1 + |I|) because polarization
-interfaces contribute O(h) mismatched cells.
+must hold to rounding; gradient-integral checks carry the tolerance
+``grad_tol``.
 """
 
 from __future__ import annotations
@@ -40,6 +39,12 @@ class InequalityReport:
 
 
 def grad_tol(h: float, reference: float) -> float:
+    """The gradient checks' tolerance sqrt(h) * (1 + |reference|), with
+    reference the j-integral I before rearrangement.  Polarization
+    interfaces leave O(h) mismatched cells, and the error they make decays
+    like sqrt(h).  |I| grows as the box shrinks while 1 and sqrt(h) do
+    not, so small boxes fail on correct code: ``polarmin verify`` at dim 1,
+    n 5, 3 trials and half_width 0.01 has slack -65.0 against 61.0."""
     return np.sqrt(h) * (1.0 + abs(reference))
 
 
@@ -74,14 +79,6 @@ def _polya_szego_report(spec: GridSpec, right: float,
                         left: float) -> InequalityReport:
     return InequalityReport("polya_szego", left=left, right=right,
                             tolerance=grad_tol(spec.h, right))
-
-
-def check_polarization_invariance(u: ScalarField, j: IntegrandJ,
-                                  H: HalfSpace) -> InequalityReport:
-    """I^H = I for homogeneous integrals; exact when j ignores the gradient."""
-    i_val = _j_integral(u, j)
-    tol = grad_tol(u.spec.h, i_val) if j.depends_on_gradient else 0.0
-    return _invariance_report(tol, i_val, _j_integral(polarize(u, H), j))
 
 
 def check_polya_szego(u: ScalarField, j: IntegrandJ) -> InequalityReport:

@@ -134,6 +134,12 @@ def test_iterated_polarization_convergence():
         converged += int(trace.status == "converged")
         finals.append(final)
         iters.append(trace.rows[-1].iteration)
+
+    # Reported only: one Gaussian, centred off the lattice, that the family
+    # cannot move onto its target (about 6.4e-2 after 2,000 iterations).
+    h = spec.h
+    gaussian = eval_bumps(spec, [((5.37 * h, -3.41 * h), 0.7, 1.0)])
+    _, gauss_trace, _, gauss_final = run(MultiField([gaussian]))
     elapsed = time.time() - t0
     ok = monotone and improvable == 0 and converged == 20
     report("iterated polarization", ok,
@@ -141,8 +147,9 @@ def test_iterated_polarization_convergence():
            f"half-spaces at the end, final distances "
            f"{min(floors):.3e}..{max(floors):.3e}; lattice: "
            f"{converged}/20 below 1e-3, worst final distance "
-           f"{max(finals):.3e} after at most {max(iters)} iterations, "
-           f"{elapsed:.1f}s")
+           f"{max(finals):.3e} after at most {max(iters)} iterations; "
+           f"off-lattice Gaussian: final distance {gauss_final:.3e} after "
+           f"{gauss_trace.rows[-1].iteration} iterations, {elapsed:.1f}s")
     assert monotone
     assert elapsed < 300.0
     assert improvable == 0, (
@@ -154,8 +161,11 @@ def test_iterated_polarization_convergence():
 def test_rearrangement_gradient_inequality():
     t0 = time.time()
     failures = 0
-    # worst violation normalised by (1 + |I|), as grad_tol normalises it
+    # worst violation, as it is and normalised by (1 + |I|) as grad_tol
+    # normalises it, and the largest tolerance, at each resolution
     worst = {65: 0.0, 257: 0.0}
+    worst_rel = {65: 0.0, 257: 0.0}
+    largest_tol = {65: 0.0, 257: 0.0}
     for dim in (1, 2):
         rng = np.random.default_rng(2 + dim)
         for _ in range(50):
@@ -167,20 +177,26 @@ def test_rearrangement_gradient_inequality():
                 for integrand in GRAD_INTEGRANDS.values():
                     rep = check_polya_szego(u, integrand)
                     failures += int(not rep.passed)
-                    worst[n] = max(worst[n], -min(rep.slack, 0.0)
-                                   / (1.0 + abs(rep.right)))
+                    violation = -min(rep.slack, 0.0)
+                    worst[n] = max(worst[n], violation)
+                    worst_rel[n] = max(worst_rel[n],
+                                       violation / (1.0 + abs(rep.right)))
+                    largest_tol[n] = max(largest_tol[n], rep.tolerance)
     elapsed = time.time() - t0
     # the slack decays like sqrt(h), so a 4x refinement halves it
-    shrink_ok = worst[257] <= 0.5 * worst[65]
+    shrink_ok = worst_rel[257] <= 0.5 * worst_rel[65]
     ok = failures == 0 and shrink_ok
+    by_h = "; ".join(
+        f"h={make_grid(1, n, 8.0).h:g}: worst violation {worst[n]:.3e}, "
+        f"/ (1+|I|) {worst_rel[n]:.3e}, largest grad_tol "
+        f"{largest_tol[n]:.3e}" for n in (65, 257))
     report("gradient inequality", ok,
-           f"{failures} failures, worst violation / (1+|I|) h=0.25: "
-           f"{worst[65]:.3e}, h=0.0625: {worst[257]:.3e}, {elapsed:.1f}s")
+           f"{failures} failures; {by_h}; {elapsed:.1f}s")
     assert failures == 0
     assert elapsed < 120.0
     assert shrink_ok, (
         f"normalised worst violation must halve from h=0.25 to h=0.0625; "
-        f"got {worst[65]:.3e} -> {worst[257]:.3e}")
+        f"got {worst_rel[65]:.3e} -> {worst_rel[257]:.3e}")
 
 
 def test_nonlocal_monotonicity():
@@ -260,19 +276,29 @@ def test_gradient_correctness():
     assert elapsed < 60.0
 
 
+# The example-model ground-state flow, in the names of the CLI's config
+# keys: the README's ground_state.cfg runs it (tests/test_readme.py).
+EXAMPLE_FLOW = {"dim": 3, "n": 33, "half_width": 8.0, "model": "example_paper",
+                "m": 1, "c": (1.0,), "seed": 0, "eta": 0.1, "max_steps": 800,
+                "grad_tol": 1e-3, "k_pol": 0}
+
+
 def test_example_model_end_to_end():
     t0 = time.time()
-    spec = make_grid(3, 33, 8.0)
-    model = models.example_paper(m=1, dim=3)
-    c = ConstraintVector((1.0,))
-    U0 = MultiField([random_bump_field(spec, np.random.default_rng(0))])
+    flow = EXAMPLE_FLOW
+    spec = make_grid(flow["dim"], flow["n"], flow["half_width"])
+    model = models.by_name(flow["model"], m=flow["m"], dim=flow["dim"])
+    c = ConstraintVector(flow["c"])
+    U0 = MultiField([random_bump_field(spec,
+                                       np.random.default_rng(flow["seed"]))])
     res, scan = ground_state(MinimizeConfig(
-        model=model, constraints=c, spec=spec, initial=U0, eta=0.1,
-        max_steps=800, grad_tol=1e-3, k_pol=0))
+        model=model, constraints=c, spec=spec, initial=U0, eta=flow["eta"],
+        max_steps=flow["max_steps"], grad_tol=flow["grad_tol"],
+        k_pol=flow["k_pol"]))
     best_delta, best_energy = min(scan, key=lambda t: t[1])
     scan_ok = best_energy < 0.0
     total = res.trace[-1].total
-    mass_err = abs(lp_norm(res.U.components[0], model.p) ** model.p - 1.0)
+    mass_err = abs(lp_norm(res.U.components[0], model.p) ** model.p - c.c[0])
     elapsed = time.time() - t0
     ok = (scan_ok and total < 0.0 and mass_err <= 1e-12
           and res.residuals[0] <= 1e-3 and res.deficits[0] <= 5e-2)

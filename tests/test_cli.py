@@ -154,6 +154,8 @@ class TestMainExitCodes:
 SCIPY_FREE_RUN = """
 import sys
 import polarmin
+lazy = [m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")]
+assert not lazy, f"import polarmin loaded {sorted(lazy)}"
 from polarmin.cli import main
 from polarmin.grid import make_grid
 from polarmin.verify import run_property_suite

@@ -515,6 +515,9 @@ class TestEvalTotal:
         assert bk.E3 == pytest.approx(e3, rel=1e-12)
         assert bk.total == bk.E1 + bk.E2 + bk.E3
 
+    # log(0) = -inf is the non-finite value under test
+    @pytest.mark.filterwarnings(
+        "ignore:divide by zero encountered in log:RuntimeWarning")
     def test_non_finite_integrand_reported(self):
         spec = make_grid(1, 5, 2.0)
         bad = EnergyModel(p=2.0, js=[IntegrandJ(

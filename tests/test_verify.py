@@ -16,9 +16,9 @@ from polarmin.grid import (MultiField, ScalarField, gradient_components,
                            make_grid)
 from polarmin.rearrange import (HalfSpace, admissible_half_spaces, polarize,
                                 polarize_multi, schwarz)
-from polarmin.verify import (SuiteLine, bump_params, check_local_monotonicity,
-                             check_nonlocal_monotonicity,
-                             check_polarization_invariance, check_polya_szego,
+from polarmin.verify import (SuiteLine, _j_integral, bump_params,
+                             check_local_monotonicity,
+                             check_nonlocal_monotonicity, check_polya_szego,
                              equiintegrability_profile, eval_bumps, grad_tol,
                              random_bump_field, run_property_suite)
 
@@ -219,8 +219,9 @@ class TestSuiteOracle:
     def test_value_integrand_builds_no_gradient(self, monkeypatch):
         calls = self.count_gradients(monkeypatch)
         u = random_bump_field(SPEC_2D, np.random.default_rng(0))
-        rep = check_polarization_invariance(u, J_VALUE, HalfSpace((1, 0), 0.0))
-        assert calls == [] and rep.passed
+        uh = polarize(u, HalfSpace((1, 0), 0.0))
+        assert _j_integral(uh, J_VALUE) == _j_integral(u, J_VALUE)
+        assert calls == []
 
     @pytest.mark.parametrize("dim,n", [(1, 33), (2, 65), (3, 17), (3, 33)])
     def test_eval_bumps_bits_of_coords_formula(self, dim, n):
@@ -240,28 +241,34 @@ class TestSuiteOracle:
 
 
 class TestPolarizationInvariance:
+    """I(u^H) against I(u), the integrals the suite's invariance lines
+    compare: equal for a value-only integrand and for a Schwarz-symmetric
+    field, within grad_tol otherwise."""
+
     @given(nonneg_2d, st.sampled_from(admissible_half_spaces(SPEC_2D)))
     @settings(max_examples=40, deadline=None)
     def test_value_integrand_exact(self, vals, H):
-        rep = check_polarization_invariance(ScalarField(SPEC_2D, vals),
-                                            J_VALUE, H)
-        assert rep.tolerance == 0.0
-        assert rep.left == 0.0 and rep.passed
+        u = ScalarField(SPEC_2D, vals)
+        assert _j_integral(polarize(u, H), J_VALUE) == _j_integral(u, J_VALUE)
 
     def test_symmetric_field_exact_even_with_gradient(self):
         u = schwarz(ScalarField(SPEC_2D,
                                 np.random.default_rng(0).random((9, 9))))
+        i_u = _j_integral(u, J_GRAD)
         for H in admissible_half_spaces(SPEC_2D)[::5]:
-            rep = check_polarization_invariance(u, J_GRAD, H)
-            assert rep.left == 0.0
+            assert _j_integral(polarize(u, H), J_GRAD) == i_u
 
     def test_gradient_error_shrinks_with_resolution(self):
         H = HalfSpace((1, 0), 0.0)
-        coarse = check_polarization_invariance(two_bump_field(33), J_GRAD, H)
-        fine = check_polarization_invariance(two_bump_field(65), J_GRAD, H)
-        assert coarse.left > 0.0
-        assert fine.left < coarse.left
-        assert coarse.passed and fine.passed
+        gaps = []
+        for n in (33, 65):
+            u = two_bump_field(n)
+            i_u = _j_integral(u, J_GRAD)
+            gaps.append(abs(_j_integral(polarize(u, H), J_GRAD) - i_u))
+            assert gaps[-1] <= grad_tol(u.spec.h, i_u)
+        coarse, fine = gaps
+        assert coarse > 0.0
+        assert fine < coarse
 
 
 class TestPolyaSzego:
