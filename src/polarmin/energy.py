@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import threading
 
 import numpy as np
@@ -181,103 +182,108 @@ def _fast_len(target: int) -> int:
         size += 1
 
 
-# Smallest rfftn spectrum, in points, whose convolution passes run in two
-# halves on two cores (3D n >= 27, 2D n >= 183).  Each phase costs a handoff
-# to the worker thread.  Measured on a 2-core Xeon VM, split against one
-# core, calls alternating in one process: 17^3 (17408 points) 906 against
-# 521 us; 25^3 (57600) faster in 67% of calls; 2D n=193 (74112) in 94%,
-# 2073 against 3224 us; 33^3 (135168) in 98%, 3462 against 6044 us.
+# Smallest rfftn spectrum, in points, from which the convolution runs its
+# middle passes in slabs of columns (_SLAB_POINTS) and each of its three
+# stages in two halves, one on the worker thread (3D n >= 27, 2D n >= 183).
+# Below it the calls of many small slabs cost more than the cache misses
+# they save: on a 2-core Xeon VM, one core, one-column slabs took 1.31 ms
+# at 17^3 against 0.85 ms for one slab, and 3.67 against 3.51 ms at 25^3.
 _SPLIT_MIN = 2**16
 
-# each thread's two work arrays for its last grid shape
+# Points of one slab buffer above _SPLIT_MIN.  A slab holds as many columns
+# of the half-spectrum axis as fit, but one where that is four or fewer:
+# one column's lines along axis N - 2 are contiguous, while slabs of two or
+# three columns, rows of less than one 64-byte cache line, ran 1.2-1.5
+# times as long.  On the VM above, one core, calls alternating with a
+# convolution that kept two full spectra: 2^14 points ran 2D n=193 and 257
+# in 0.92-0.95 of its time, 2^12 in 1.06-1.07 and 2^11 in 1.2-1.3; in 3D
+# one column ran 65^3 in 0.70 and 33^3 in 0.97-0.99.
+_SLAB_POINTS = 2**14
+
+# each thread's work arrays, per kind, for its last grid
 _local = threading.local()
 
 
-def _spectrum_buffers(size: int, dim: int) -> list:
-    """Two work arrays of the rfftn shape (M, ..., M, M // 2 + 1), which
-    the passes of _forward_passes and kernel_convolve write in turn."""
-    shape = (size,) * (dim - 1) + (size // 2 + 1,)
-    return [np.empty(shape, dtype=complex) for _ in range(2)]
+def _work_arrays(kind: str, shapes: tuple, dtypes: tuple) -> list:
+    """The calling thread's arrays of kind ("grid" or "slab") with these
+    shapes and dtypes, kept for its next convolution and replaced when the
+    shapes change."""
+    kept = getattr(_local, kind, None)
+    if kept is None or kept[0] != shapes:
+        setattr(_local, kind, None)  # free the old arrays before the new
+        kept = (shapes, [np.empty(shape, dtype=dtype)
+                         for shape, dtype in zip(shapes, dtypes)])
+        setattr(_local, kind, kept)
+    return kept[1]
 
 
-def _work_arrays(size: int, dim: int) -> list:
-    """The calling thread's _spectrum_buffers for this shape, kept for its
-    next convolution and replaced when the shape changes."""
-    if getattr(_local, "key", None) != (size, dim):
-        _local.work = None  # free the old pair before making the new one
-        _local.work = _spectrum_buffers(size, dim)
-        _local.key = (size, dim)
-    return _local.work
+def _slab_width(size: int, dim: int, columns: int, split: bool) -> int:
+    """Columns per slab: every column below the gate, else as many as
+    _SLAB_POINTS holds where that is more than four, else one."""
+    if not split:
+        return columns
+    width = min(columns, _SLAB_POINTS // size ** (dim - 1))
+    return width if width > 4 else 1
 
 
-def _part(index: tuple, part) -> tuple:
-    """index with part = (axis, slice) in place of its slice along axis;
-    index's own slice there starts at 0 and covers part's.  part None
-    leaves index as it is."""
-    if part is None:
-        return index
-    axis, s = part
-    return index[:axis] + (s,) + index[axis + 1:]
+def _slab_buffers(size: int, dim: int, width: int) -> list:
+    """The calling thread's two flat complex buffers for slabs of width
+    columns on a grid of circulant length size."""
+    points = size ** (dim - 1) * width
+    return _work_arrays("slab", ((points,),) * 2, (complex, complex))
 
 
-def _forward_passes(a: np.ndarray, size: int, work: list) -> list:
-    """The passes of the rfftn of a zero-padded to size along every axis.
+def _slabs(columns: slice, width: int) -> list:
+    """Indices of the slabs of at most width last-axis columns that cover
+    columns, in order."""
+    return [(Ellipsis, slice(start, min(start + width, columns.stop)))
+            for start in range(columns.start, columns.stop, width)]
 
-    Each pass is (axes, extents, run): the axes it transforms, the shape
-    of the array it reads, and run(part), which transforms the lines whose
-    index along part's axis lies in part's slice (part None: every line).
-    The axes run as in scipy.fft.rfftn: the real transform along the last
-    axis, then the complex one along axes 0, 1, ....  Each pass pads only
-    its own axis, so lines that are all padding are never transformed
-    (FFT pruning, Markel, IEEE Trans. Audio Electroacoust. 19, 1971); they
-    would transform to zeros.  The passes write the leading blocks of the
-    two work arrays in turn, starting with work[0], so the result lies in
-    work[(a.ndim - 1) % 2].
+
+def _into(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading points of a flat buffer as a C-ordered array of shape."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def _forward(x: np.ndarray, size: int, buffers: list) -> np.ndarray:
+    """The complex passes of rfftn on one slab x of last-axis columns: the
+    transform zero-padded to size along axes 0, 1, ..., N - 2 in turn,
+    written into the two buffers alternately, starting with buffers[0].
+    Each pass pads only its own axis, so lines that are all padding are
+    never transformed (FFT pruning, Markel, IEEE Trans. Audio Electroacoust.
+    19, 1971); they would transform to zeros.  Returns the last output (x
+    itself in 1D)."""
+    for k in range(x.ndim - 1):
+        out = _into(buffers[k % 2], (size,) * (k + 1) + x.shape[k + 1:])
+        np.fft.fft(x, size, axis=k, out=out)
+        x = out
+    return x
+
+
+def _convolve_slabs(spectrum: np.ndarray, kernel_hat: np.ndarray, n: int,
+                    columns: slice, width: int) -> None:
+    """The middle passes of kernel_convolve on spectrum's columns, in place.
+
+    spectrum holds the real transform of g along the last axis, shape
+    (n, ..., n, H).  Each slab of width columns runs the forward complex
+    passes (_forward), the product with kernel_hat, and the inverse complex
+    passes along axes 0, 1, ..., N - 2, each of which keeps only the first
+    n points of the axis before it, so no line that the result drops is
+    transformed.  The slab's first n points per axis go back into
+    spectrum.
     """
-    lead = a.ndim - 1
-    half = size // 2 + 1
-    every = (slice(None),) * a.ndim
-
-    def block(k):  # axes 0..k-1 transformed to length size
-        return ((slice(None),) * k + tuple(slice(n) for n in a.shape[k:lead])
-                + (slice(None),))
-
-    def rfft(part):
-        np.fft.rfft(a[_part(every, part)], size, axis=-1,
-                    out=work[0][_part(block(0), part)])
-
-    passes = [((lead,), a.shape, rfft)]
-    for k in range(lead):
-        def fft(part, k=k):
-            np.fft.fft(work[k % 2][_part(block(k), part)], size, axis=k,
-                       out=work[(k + 1) % 2][_part(block(k + 1), part)])
-        passes.append(((k,), (size,) * k + a.shape[k:lead] + (half,), fft))
-    return passes
-
-
-def _phases(passes: list, dim: int) -> list:
-    """passes grouped into phases that split along one axis, as
-    (axis, extent, runs).
-
-    A pass joins the phase before it while both leave one axis
-    untransformed; the phase splits along the first such axis.  Axes
-    before the last are preferred: halves along the last axis cut every
-    contiguous row, and a 3D phase split so ran slower than two phases
-    split along other axes.  kernel_convolve lists the phases this gives.
-    dim is 2 or 3.
-    """
-    last = dim - 1
-    phases = []  # [untransformed axes, extents, runs]
-    for axes, extents, run in passes:
-        if phases:
-            free = phases[-1][0] - set(axes)
-            if free and (min(free) < last or min(phases[-1][0]) == last):
-                phases[-1][0] = free
-                phases[-1][2].append(run)
-                continue
-        phases.append([set(range(dim)) - set(axes), extents, [run]])
-    return [(min(free), extents[min(free)], runs)
-            for free, extents, runs in phases]
+    size, lead = kernel_hat.shape[0], kernel_hat.ndim - 1
+    buffers = _slab_buffers(size, lead + 1, width) if lead else None
+    for cols in _slabs(columns, width):
+        x = _forward(spectrum[cols], size, buffers)
+        np.multiply(x, kernel_hat[cols], out=x)
+        for k in range(lead):
+            x = x[(slice(n),) * k]
+            out = _into(buffers[(lead + k) % 2], x.shape)
+            np.fft.ifft(x, axis=k, norm="forward", out=out)
+            x = out
+        if lead:
+            spectrum[cols] = x[(slice(n),) * lead]
 
 
 @functools.lru_cache(maxsize=4)
@@ -291,17 +297,26 @@ def kernel_transform(V: callable, spec: GridSpec) -> np.ndarray:
     lie in [1 - n, n - 1], and only +-(n - 1) can meet at one index, which
     the even kernel gives one value; so the cyclic convolution of the
     zero-padded g equals the free-space sum on the first n points per axis
-    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).  The
-    array comes from _forward_passes of the sampled kernel, the bits of
-    scipy.fft.rfftn, in arrays of its own, and is read-only, since the
-    cache shares it.
+    (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
+
+    The real transform along the last axis writes straight into the
+    returned array, the sample is dropped, and the complex passes run one
+    slab of half-spectrum columns at a time, as in kernel_convolve, in the
+    calling thread's slab buffers; so the array has the bits of
+    scipy.fft.rfftn, and the call holds the sample and the result but no
+    third full-size array.  The array is read-only, since the cache shares
+    it.
     """
     kernel = sample_kernel(V, spec)
-    size = kernel.shape[-1]
-    work = _spectrum_buffers(size, kernel.ndim)
-    for _, _, run in _forward_passes(kernel, size, work):
-        run(None)
-    kernel_hat = work[(kernel.ndim - 1) % 2]
+    size, dim = kernel.shape[-1], kernel.ndim
+    kernel_hat = np.fft.rfft(kernel, axis=-1)
+    del kernel
+    if dim > 1:
+        half = kernel_hat.shape[-1]
+        width = _slab_width(size, dim, half, kernel_hat.size >= _SPLIT_MIN)
+        buffers = _slab_buffers(size, dim, width)
+        for cols in _slabs(slice(0, half), width):
+            kernel_hat[cols] = _forward(kernel_hat[cols], size, buffers)
     kernel_hat.flags.writeable = False
     return kernel_hat
 
@@ -313,76 +328,69 @@ def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     length M = _fast_len(2n - 2) follows from g's shape.  Every nonlocal
     application goes through here, as the cyclic convolution of the
     circulant embedding.  It gives the bits of
-    irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft.  The
-    forward passes are _forward_passes.  The inverse runs the complex
-    transforms along axes 0, 1, ... and then the real one along the last
-    axis, as irfftn does, but keeps only the first n points of each axis
-    before the next pass, so no line that the final slice drops is
-    transformed.  The passes leave out the 1/M^N factor; one product
-    applies it to each kept point, as irfftn's last pass does.  The pruned
-    passes do about 0.57 times the line work of the full transforms in 3D,
-    and 0.74 times in 2D.
+    irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft, in three
+    stages:
 
-    Every pass writes into the calling thread's two work arrays
-    (_work_arrays, 4.3 MB at 33^3 and 270 MB at 127^3), the last into a
-    real view of one of them, so the only array made is the result.
+    1. the real transform of g, padded to M, along the last axis into the
+       thread's spectrum array of shape (n, ..., n, H), H = M // 2 + 1;
+    2. _convolve_slabs: each index of that half-spectrum axis is on its own
+       in every later pass of the forward transform, the product and the
+       inverse, so these passes run one slab of columns at a time in two
+       small buffers, and the slab's first n points per axis go back into
+       the spectrum array;
+    3. the real inverse along the last axis into the thread's real array of
+       shape (n, ..., n, M), whose first n points per line, times 1/M^N,
+       are the result, as irfftn's last pass scales.
 
-    From 2D and 3D spectra of _SPLIT_MIN points on, the passes run in the
-    phases of _phases, each split along an axis that none of its passes
-    transforms, half on the calling thread and half on the package's
-    worker thread (_worker.in_halves), with one wait per phase.  In 3D:
-    the real transform and the one along axis 0, split along axis 1; the
-    transform along axis 1 and the kernel product, along axis 0; the
-    inverse along axis 0, along axis 1; the inverse along axis 1, the real
-    inverse and the scale, along axis 0.  In 2D: the real transform; the
-    transform along axis 0, the product and its inverse, split along the
-    last axis; the real inverse and the scale.  Below the gate, or with
-    one core, the passes run in order on the calling thread.  Each line
+    The pruned passes do about 0.57 times the line work of the full
+    transforms in 3D, and 0.74 times in 2D.  The thread keeps its spectrum
+    and real arrays and its two slab buffers for the next call on the same
+    grid (_work_arrays): 1.26 MB at 33^3, 9.2 MB at 65^3 and 68 MB at
+    127^3, where one full (M, ..., M, H) spectrum takes 2.2, 17 and 135 MB.
+    The only array made is the result.
+
+    From 2D and 3D spectra of _SPLIT_MIN points on, a slab holds
+    _SLAB_POINTS points (one column in 3D from n = 29), and each stage runs
+    in two halves, one on the calling thread and one on the package's
+    worker thread (_worker.in_halves): stages 1 and 3 split the rows along
+    axis 0, stage 2 the columns, so a call waits three times.  Each thread
+    uses its own slab buffers.  Below the gate, and in 1D, stage 2 runs as
+    one slab of every column on the calling thread: at 17^3 the calls of
+    one-column slabs cost more than the cache misses they save.  Each line
     goes through the same transform call either way, so the result has the
-    same bits on any number of cores.  The worker's halves call numpy
-    only: no traced public function runs off the calling thread.
+    same bits on any number of cores and for any slab width.  The worker's
+    halves call numpy only: no traced public function runs off the calling
+    thread.
     """
     n, dim = g.shape[-1], g.ndim
     size = _fast_len(2 * n - 2)
     half = size // 2 + 1
-    work = _work_arrays(size, dim)
+    rows = (n,) * (dim - 1)
+    spectrum, real = _work_arrays(
+        "grid", (rows + (half,), rows + (size,)), (complex, float))
     result = np.empty(g.shape)
-    lead = dim - 1
-    every = (slice(None),) * dim
-    passes = _forward_passes(g, size, work)
+    split = dim > 1 and kernel_hat.size >= _SPLIT_MIN
+    width = _slab_width(size, dim, half, split)
 
-    def product(part):
-        spectrum = work[lead % 2][_part(every, part)]
-        np.multiply(spectrum, kernel_hat[_part(every, part)], out=spectrum)
+    def forward(part):
+        np.fft.rfft(g[part], size, axis=-1, out=spectrum[part])
 
-    passes.append(((), (size,) * lead + (half,), product))
-    for k in range(lead):
-        kept = (slice(n),) * k + (slice(None),) * (dim - k)
+    def middle(part):
+        _convolve_slabs(spectrum, kernel_hat, n, part, width)
 
-        def ifft(part, k=k, kept=kept):
-            np.fft.ifft(work[(lead + k) % 2][_part(kept, part)], axis=k,
-                        norm="forward",
-                        out=work[(lead + k + 1) % 2][_part(kept, part)])
+    def inverse(part):
+        out = real[part]
+        np.fft.irfft(spectrum[part], size, axis=-1, norm="forward", out=out)
+        np.multiply(out[..., :n], 1.0 / size**dim, out=result[part])
 
-        passes.append(((k,), (n,) * k + (size,) * (lead - k) + (half,), ifft))
-    kept = (slice(n),) * lead + (slice(None),)
-    real = work[1].view(np.float64)[(slice(n),) * lead + (slice(size),)]
-
-    def irfft(part):
-        out = real[_part(every, part)]
-        np.fft.irfft(work[0][_part(kept, part)], size, axis=-1,
-                     norm="forward", out=out)
-        np.multiply(out[..., :n], 1.0 / size**dim,
-                    out=result[_part(every, part)])
-
-    passes.append(((lead,), (n,) * lead + (half,), irfft))
-    if dim < 2 or kernel_hat.size < _SPLIT_MIN:
-        for _, _, run in passes:
-            run(None)
+    if not split:
+        forward(slice(None))
+        middle(slice(0, half))
+        inverse(slice(None))
         return result
-    for axis, extent, runs in _phases(passes, dim):
-        _worker.in_halves(
-            lambda s: [run((axis, s)) for run in runs], extent)
+    _worker.in_halves(forward, n)
+    _worker.in_halves(middle, half)
+    _worker.in_halves(inverse, n)
     return result
 
 

@@ -11,8 +11,8 @@ always 0 (n=99 at L = 1, 2, 4 or 8), so no code compares a position with 0.
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -286,9 +286,25 @@ def write_field(U: MultiField, path) -> None:
             fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
+# the line breaks of str.splitlines, "\r\n" counting as one
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _header_lines(text: str) -> tuple:
+    """(lines, rest): text's first two lines, fewer if it has fewer, by the
+    line-break rules of str.splitlines, and the text after them."""
+    lines, start = [], 0
+    while len(lines) < 2 and start < len(text):
+        brk = _LINE_BREAK.search(text, start)
+        stop, after = brk.span() if brk else (len(text), len(text))
+        lines.append(text[start:stop])
+        start = after
+    return lines, text[start:]
+
+
 def read_field(path) -> MultiField:
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines, rest = _header_lines(fh.read())
     if not lines or lines[0] != _MAGIC:
         raise FieldFormatError(f"line 1: expected magic line {_MAGIC!r}")
     if len(lines) < 2:
@@ -309,19 +325,19 @@ def read_field(path) -> MultiField:
     except ValueError as err:
         raise FieldFormatError(f"line 2: {err}") from None
     expected = m * spec.num_points
-    # one numpy conversion of every token; the per-line loop runs only to
-    # name the line of the first bad or non-finite value.  numpy parses a
-    # string with the grammar and rounding of Python float (digits of any
-    # script, underscores between digits, "infinity"), so both give the
-    # same values and reject the same tokens.
-    tokens = list(chain.from_iterable(map(str.split, lines[2:])))
+    # one split and one numpy conversion of every token: each line break is
+    # str.split whitespace, so the tokens are those of the lines.  The
+    # per-line loop runs only to name the line of the first bad or
+    # non-finite value.  numpy parses a string with the grammar and rounding
+    # of Python float (digits of any script, underscores between digits,
+    # "infinity"), so both give the same values and reject the same tokens.
     try:
-        data = np.array(tokens, dtype=np.float64)
+        data = np.array(rest.split(), dtype=np.float64)
         valid = bool(np.all(np.isfinite(data)))
     except ValueError:
         valid = False
     if not valid:
-        data = np.array(_parse_by_line(lines[2:]))
+        data = np.array(_parse_by_line(rest.splitlines()))
     if data.size != expected:
         raise FieldFormatError(f"expected {expected} values, got {data.size}")
     data = data.reshape(m, *spec.shape)

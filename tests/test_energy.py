@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -221,11 +222,13 @@ class TestNonlocalOperator:
             kernel_hat[0] = 0.0
 
 
-# the TestNonlocalOperator grids, plus 3D n=17 and n=33; 3D n=33 and 2D
-# n=193 and n=257 lie above energy._SPLIT_MIN, so on two cores their passes
-# run in halves
+# the TestNonlocalOperator grids, plus larger ones: 3D n=33, 35 (M 72,
+# H 37) and 65 and 2D n=193, 201, 257 lie above energy._SPLIT_MIN, so their
+# middle passes run in slabs, and on two cores in halves; 1D n=65537 has a
+# spectrum above the gate too, but 1D has no middle passes
 SCIPY_ORACLE_GRIDS = [(d, n) for d in (1, 2, 3) for n in (3, 9, 13, 17)] + [
-    (1, 99), (1, 197), (2, 193), (2, 257), (3, 33)]
+    (1, 99), (1, 197), (1, 65537), (2, 193), (2, 201), (2, 257), (3, 33),
+    (3, 35), (3, 65)]
 
 
 class TestScipyOracle:
@@ -266,15 +269,22 @@ def convolution_case(dim, n):
     return np.maximum(rng.random(spec.shape) - 0.5, 0.0), kernel_hat
 
 
-# grids whose spectra lie below and above energy._SPLIT_MIN
-SPLIT_GRIDS = [(3, 17), (2, 129), (2, 193), (2, 257), (3, 33)]
+# grids whose spectra lie below and above energy._SPLIT_MIN; above it, 2D
+# n=201 (M 400, H 201) ends each half's columns with a narrower slab
+SPLIT_GRIDS = [(3, 17), (2, 129), (2, 193), (2, 201), (2, 257), (3, 33),
+               (3, 35)]
+
+
+def kept_arrays():
+    """The calling thread's work arrays: spectrum, real, two slab buffers."""
+    return [a for kind in ("grid", "slab")
+            for a in getattr(energy._local, kind)[1]]
 
 
 class TestSplitConvolution:
-    """kernel_convolve runs its passes in halves on the package's worker
+    """kernel_convolve runs its stages in halves on the package's worker
     thread above energy._SPLIT_MIN; these pin that it gives the bits of one
-    core, never waits for itself, and keeps one pair of work arrays per
-    thread."""
+    core, never waits for itself, and keeps its work arrays per thread."""
 
     @staticmethod
     def cores(monkeypatch, count):
@@ -319,6 +329,26 @@ class TestSplitConvolution:
         assert same_bits(kernel_convolve(g, kernel_hat), serial)
         split = kernel_hat.size >= energy._SPLIT_MIN
         assert len(threads) == (2 if split else 0)
+
+    def test_slabs_do_not_divide_the_columns(self):
+        size = energy._fast_len(2 * 201 - 2)
+        half = size // 2 + 1
+        width = energy._slab_width(size, 2, half, True)
+        assert 1 < width < (half + 1) // 2 and half % width
+        assert ((half + 1) // 2) % width and (half // 2) % width
+
+    def test_worker_keeps_its_own_slab_buffers(self, monkeypatch):
+        g, kernel_hat = convolution_case(3, 33)
+        serial = self.serial(monkeypatch, g, kernel_hat)
+        self.cores(monkeypatch, 2)
+        threads = self.worker_takes_second_half(monkeypatch)
+        assert same_bits(kernel_convolve(g, kernel_hat), serial)
+        assert len(threads) == 2
+        mine = kept_arrays()[2:]
+        theirs = _worker._executor().submit(
+            lambda: energy._local.slab[1]).result(timeout=60)
+        assert [a.shape for a in theirs] == [a.shape for a in mine]
+        assert not any(a is b for a in mine for b in theirs)
 
     def test_unstarted_half_runs_on_the_caller(self, monkeypatch):
         self.cores(monkeypatch, 2)
@@ -435,24 +465,55 @@ class TestSplitConvolution:
     def test_work_arrays_per_thread_replaced_per_grid(self):
         small, large = convolution_case(3, 9), convolution_case(2, 17)
         kernel_convolve(*small)
-        work = energy._local.work
+        work = kept_arrays()
         kernel_convolve(*small)
-        assert energy._local.work is work
+        assert all(a is b for a, b in zip(kept_arrays(), work, strict=True))
         gone = [weakref.ref(a) for a in work]
         del work
         kernel_convolve(*large)
         gc.collect()
-        assert [ref() for ref in gone] == [None, None]
-        assert [a.shape for a in energy._local.work] == [(32, 17)] * 2
+        assert [ref() for ref in gone] == [None] * 4
+        # M 32, H 17: below the gate one slab holds every column
+        assert [a.shape for a in kept_arrays()] == [
+            (17, 17), (17, 32), (32 * 17,), (32 * 17,)]
 
         other = []
         thread = threading.Thread(
             target=lambda: (kernel_convolve(*small),
-                            other.extend(energy._local.work)))
+                            other.extend(kept_arrays())))
         thread.start()
-        thread.join()
-        assert [a.shape for a in other] == [(16, 16, 9)] * 2
-        assert not any(a is b for a in other for b in energy._local.work)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [a.shape for a in other] == [
+            (9, 9, 9), (9, 9, 16), (16 * 16 * 9,), (16 * 16 * 9,)]
+        assert not any(a is b for a in other for b in kept_arrays())
+
+
+# field sizes (n^N float64 values) that the calling thread keeps after one
+# convolution above energy._SPLIT_MIN, for the grids of the test below: its
+# spectrum and real arrays take about 4, its slab buffers the rest (4.4 at
+# 3D n=33, 4.2 at 3D n=65, 5.0 at 2D n=257); two full (M, ..., M, H)
+# spectra took 15.1, 15.5 and 8.0
+KEPT_FIELD_SIZES = 5.5
+
+
+@pytest.mark.parametrize("dim,n", [(3, 33), (3, 65), (2, 257)])
+def test_convolution_memory_bounded(monkeypatch, dim, n):
+    g, kernel_hat = convolution_case(dim, n)
+    monkeypatch.setattr(_worker, "cores", lambda: 1)
+    kernel_convolve(*convolution_case(2, 3))  # the thread keeps small arrays
+    tracemalloc.start()
+    try:
+        result = kernel_convolve(g, kernel_hat)
+        field = result.nbytes
+        del result
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= KEPT_FIELD_SIZES * field
+    # the result is the only array made; numpy's iterator may add a buffer
+    # of 8192 elements per operand to the strided scaling into it
+    assert peak <= kept + field + 2**18
 
 
 class TestNonlocal:

@@ -332,6 +332,35 @@ class TestFieldFile:
         with pytest.raises(FieldFormatError, match="line 4"):
             read_field(path)
 
+    # every line break of str.splitlines; open() turns "\r" and "\r\n"
+    # into "\n", the others reach the parser
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                                     "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_splitlines_breaks(self, tmp_path, brk):
+        path = tmp_path / "u.rfld"
+        text = f"RFLD 1{brk}1 1 5 2.0{brk}0 1{brk}2\n3{brk}{brk}4{brk}"
+        path.write_text(text, newline="")
+        assert self.per_token_values(path).tolist() == [0, 1, 2, 3, 4]
+        assert read_field(path).components[0].values.tolist() == [
+            0, 1, 2, 3, 4]
+        for bad, error in (("x", "bad value 'x'"), ("nan", "non-finite value")):
+            path.write_text(text.replace("3", bad), newline="")
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            lineno = 1 + next(i for i, line in enumerate(lines)
+                              if bad in line.split())
+            with pytest.raises(FieldFormatError,
+                               match=f"^line {lineno}: {error}$"):
+                read_field(path)
+        path.write_text(f"RFLD 1{brk}", newline="")
+        with pytest.raises(FieldFormatError, match="^line 2: missing header$"):
+            read_field(path)
+        path.write_text(f"RFLD 1{brk}{brk}0\n", newline="")
+        with pytest.raises(FieldFormatError,
+                           match="^line 2: header must be 'N m n L'$"):
+            read_field(path)
+
     @staticmethod
     def per_token_values(path):
         # the token-by-token parse that read_field replaces with one pass
