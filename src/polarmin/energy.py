@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -195,27 +194,10 @@ _SPLIT_MIN = 2**16
 # one column's lines along axis N - 2 are contiguous, while slabs of two or
 # three columns, rows of less than one 64-byte cache line, ran 1.2-1.5
 # times as long.  On the VM above, one core, calls alternating with a
-# convolution that kept two full spectra: 2^14 points ran 2D n=193 and 257
+# convolution through two full spectra: 2^14 points ran 2D n=193 and 257
 # in 0.92-0.95 of its time, 2^12 in 1.06-1.07 and 2^11 in 1.2-1.3; in 3D
 # one column ran 65^3 in 0.70 and 33^3 in 0.97-0.99.
 _SLAB_POINTS = 2**14
-
-# each thread's work arrays, per kind, for its last grid
-_local = threading.local()
-
-
-def _work_arrays(kind: str, shapes: tuple, dtypes: tuple) -> list:
-    """The calling thread's arrays of kind ("grid" or "slab") with these
-    shapes and dtypes, kept for its next convolution and replaced when the
-    shapes change."""
-    kept = getattr(_local, kind, None)
-    if kept is None or kept[0] != shapes:
-        setattr(_local, kind, None)  # free the old arrays before the new
-        kept = (shapes, [np.empty(shape, dtype=dtype)
-                         for shape, dtype in zip(shapes, dtypes)])
-        setattr(_local, kind, kept)
-    return kept[1]
-
 
 def _slab_width(size: int, dim: int, columns: int, split: bool) -> int:
     """Columns per slab: every column below the gate, else as many as
@@ -227,10 +209,10 @@ def _slab_width(size: int, dim: int, columns: int, split: bool) -> int:
 
 
 def _slab_buffers(size: int, dim: int, width: int) -> list:
-    """The calling thread's two flat complex buffers for slabs of width
-    columns on a grid of circulant length size."""
+    """Two new flat complex buffers for slabs of width columns on a grid of
+    circulant length size."""
     points = size ** (dim - 1) * width
-    return _work_arrays("slab", ((points,),) * 2, (complex, complex))
+    return [np.empty(points, dtype=complex) for _ in range(2)]
 
 
 def _slabs(columns: slice, width: int) -> list:
@@ -301,8 +283,8 @@ def kernel_transform(V: callable, spec: GridSpec) -> np.ndarray:
 
     The real transform along the last axis writes straight into the
     returned array, the sample is dropped, and the complex passes run one
-    slab of half-spectrum columns at a time, as in kernel_convolve, in the
-    calling thread's slab buffers; so the array has the bits of
+    slab of half-spectrum columns at a time, as in kernel_convolve, in two
+    slab buffers made for the call; so the array has the bits of
     scipy.fft.rfftn, and the call holds the sample and the result but no
     third full-size array.  The array is read-only, since the cache shares
     it.
@@ -331,43 +313,45 @@ def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     irfftn(rfftn(g, M) * kernel_hat, M)[:n, ...] in scipy.fft, in three
     stages:
 
-    1. the real transform of g, padded to M, along the last axis into the
-       thread's spectrum array of shape (n, ..., n, H), H = M // 2 + 1;
+    1. the real transform of g, padded to M, along the last axis into a
+       spectrum array of shape (n, ..., n, H), H = M // 2 + 1;
     2. _convolve_slabs: each index of that half-spectrum axis is on its own
        in every later pass of the forward transform, the product and the
        inverse, so these passes run one slab of columns at a time in two
        small buffers, and the slab's first n points per axis go back into
        the spectrum array;
-    3. the real inverse along the last axis into the thread's real array of
-       shape (n, ..., n, M), whose first n points per line, times 1/M^N,
-       are the result, as irfftn's last pass scales.
+    3. the real inverse along the last axis into a real array of shape
+       (n, ..., n, M), whose first n points per line, times 1/M^N, are the
+       result, as irfftn's last pass scales.
 
     The pruned passes do about 0.57 times the line work of the full
-    transforms in 3D, and 0.74 times in 2D.  The thread keeps its spectrum
-    and real arrays and its two slab buffers for the next call on the same
-    grid (_work_arrays): 1.26 MB at 33^3, 9.2 MB at 65^3 and 68 MB at
-    127^3, where one full (M, ..., M, H) spectrum takes 2.2, 17 and 135 MB.
-    The only array made is the result.
+    transforms in 3D, and 0.74 times in 2D.  The spectrum and real arrays
+    and the slab buffers are made for the call and dropped on return, so
+    the call keeps nothing but the result and is safe from any number of
+    threads.  Its peak, result included, is about 5.2-6.3 field sizes
+    (n^N float64 values) on one core: 1.5 MB at 33^3, 10.9 MB at 65^3 and
+    81 MB at 127^3, where one full (M, ..., M, H) spectrum takes 2.2, 17
+    and 135 MB.
 
     From 2D and 3D spectra of _SPLIT_MIN points on, a slab holds
     _SLAB_POINTS points (one column in 3D from n = 29), and each stage runs
     in two halves, one on the calling thread and one on the package's
     worker thread (_worker.in_halves): stages 1 and 3 split the rows along
-    axis 0, stage 2 the columns, so a call waits three times.  Each thread
-    uses its own slab buffers.  Below the gate, and in 1D, stage 2 runs as
-    one slab of every column on the calling thread: at 17^3 the calls of
-    one-column slabs cost more than the cache misses they save.  Each line
-    goes through the same transform call either way, so the result has the
-    same bits on any number of cores and for any slab width.  The worker's
-    halves call numpy only: no traced public function runs off the calling
-    thread.
+    axis 0, stage 2 the columns, so a call waits three times.  Each half
+    of stage 2 makes its own slab buffers.  Below the gate, and in 1D,
+    stage 2 runs as one slab of every column on the calling thread: at
+    17^3 the calls of one-column slabs cost more than the cache misses they
+    save.  Each line goes through the same transform call either way, so
+    the result has the same bits on any number of cores and for any slab
+    width.  The worker's halves call numpy only: no traced public function
+    runs off the calling thread.
     """
     n, dim = g.shape[-1], g.ndim
     size = _fast_len(2 * n - 2)
     half = size // 2 + 1
     rows = (n,) * (dim - 1)
-    spectrum, real = _work_arrays(
-        "grid", (rows + (half,), rows + (size,)), (complex, float))
+    spectrum = np.empty(rows + (half,), dtype=complex)
+    real = np.empty(rows + (size,))
     result = np.empty(g.shape)
     split = dim > 1 and kernel_hat.size >= _SPLIT_MIN
     width = _slab_width(size, dim, half, split)
@@ -379,9 +363,12 @@ def kernel_convolve(g: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
         _convolve_slabs(spectrum, kernel_hat, n, part, width)
 
     def inverse(part):
-        out = real[part]
+        out, dest = real[part], result[part]
         np.fft.irfft(spectrum[part], size, axis=-1, norm="forward", out=out)
-        np.multiply(out[..., :n], 1.0 / size**dim, out=result[part])
+        # copied, then scaled in place: np.multiply from the strided
+        # out[..., :n] would make numpy's iterator allocate a buffer
+        np.copyto(dest, out[..., :n])
+        dest *= 1.0 / size**dim
 
     if not split:
         forward(slice(None))

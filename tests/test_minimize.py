@@ -546,8 +546,9 @@ def oracle_minimize(cfg):
 
 
 # tracemalloc peak of one minimize call at 3D n=33 (the README's memory
-# bound), in field sizes of n^3 float64 values: 29.8 measured, 40.5 while
-# the nonlocal convolution kept two full spectra per thread
+# bound), in field sizes of n^3 float64 values: 25.0 measured, 29.8 while
+# the nonlocal convolution kept its work arrays per thread and 40.5 while
+# it kept two full spectra
 MINIMIZE_PEAK_FIELD_SIZES = 32
 
 
@@ -560,9 +561,6 @@ def test_minimize_peak_memory_bounded(monkeypatch):
                          constraints=ConstraintVector((1.0,)), spec=spec,
                          initial=U0, eta=0.1, max_steps=5, k_pol=5)
     monkeypatch.setattr(_worker, "cores", lambda: 1)
-    small = make_grid(2, 3, 1.0)  # the thread keeps small work arrays
-    energy.kernel_convolve(np.ones(small.shape),
-                           energy.kernel_transform(cfg.model.V, small))
     energy.kernel_transform.cache_clear()
     tracemalloc.start()
     try:
