@@ -146,13 +146,10 @@ def lp_norm(field: ScalarField, p: float) -> float:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _lp_norm_sorted(v: np.ndarray, p: float, hN: float,
-                    s: float | None = None) -> float:
-    """lp_norm from the ascending |values| v and the cell volume hN;
-    s is float(np.sum(v**p)) * hN, when the caller has made it."""
-    if s is None:
-        with np.errstate(over="ignore"):
-            s = float(np.sum(v**p)) * hN
+def _lp_norm_sorted(v: np.ndarray, p: float, hN: float) -> float:
+    """lp_norm from the ascending |values| v and the cell volume hN."""
+    with np.errstate(over="ignore"):
+        s = float(np.sum(v**p)) * hN
     if not _TINY <= s < np.inf and v[-1] > 0:
         # |u|^p overflows (above about 1e154 at p=2) or underflows (below
         # about 1e-154, or at huge p) for finite nonzero fields: factor out

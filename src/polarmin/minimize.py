@@ -210,6 +210,8 @@ class MinimizeConfig:
     def __post_init__(self):
         if self.eta <= 0 or self.max_steps < 1:
             raise ValueError("eta > 0 and max_steps >= 1 required")
+        if self.spec != self.initial.spec:
+            raise ValueError("spec must be the grid of the initial field")
 
 
 @dataclasses.dataclass

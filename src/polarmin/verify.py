@@ -1,8 +1,11 @@
 """Executable checks of the rearrangement inequalities on concrete fields.
 
-Exact-class checks (value-only integrals, equimeasurability, value tails)
+Exact-class checks (equimeasurability, local and nonlocal monotonicity)
 must hold to rounding; gradient-integral checks carry the tolerance
-``grad_tol``.
+``grad_tol``.  Polarization and Schwarz symmetrization permute values, so
+equimeasurability, which compares the sorted values bit for bit, implies
+every value-only consequence: equal L^p norms, value integrals and value
+tails.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import numpy as np
 from . import _worker
 from .energy import (EnergyModel, IntegrandJ, _nonlocal_sum,
                      _require_finite)
-from .grid import (GridSpec, MultiField, ScalarField, _lp_norm_sorted,
-                   axis_sum, gradient_magnitude)
+from .grid import (GridSpec, MultiField, ScalarField, axis_sum,
+                   gradient_magnitude)
 from .models import plaplace
 from .rearrange import (HalfSpace, _build_caches, _place_radially,
                         admissible_half_spaces, polarize, polarize_multi,
@@ -260,8 +263,7 @@ class SuiteSummary:
 
 
 # the suite's checks, in the order of its lines
-_CHECKS = ("equimeasurability", "lp_norm_exact", "value_invariance_exact",
-          "value_tails_exact", "gradient_invariance_tol", "polya_szego_tol")
+_CHECKS = ("equimeasurability", "gradient_invariance_tol", "polya_szego_tol")
 
 # trials drawn per round: the suite holds one round's draws and outcomes
 _ROUND = 64
@@ -297,7 +299,12 @@ def _outcome(rep: InequalityReport) -> tuple:
 
 
 def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
-    """Randomized aggregation of the exact and tolerance-class checks.
+    """Randomized aggregation of three checks on a random bump field u, a
+    random admissible half-space H and the Schwarz rearrangement u*:
+    equimeasurability (the sorted values of u, u^H and u* agree bit for
+    bit), gradient_invariance_tol (|I(u^H) - I(u)| <= grad_tol) and
+    polya_szego_tol (I(u*) <= I(u) + grad_tol), for I the j-integral of
+    j = |Du|^2.
 
     Each round draws up to ``_ROUND`` trials' bumps and half-spaces from
     the one generator, in trial order, and then evaluates them: the first
@@ -313,17 +320,10 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
     rng = np.random.default_rng(seed)
     family = admissible_half_spaces(spec)
     j_grad = plaplace(p=2.0, dim=spec.dim).js[0]
-    hN = spec.cell_volume
     # built here rather than on first use in the worker: a cached array
     # made by the worker sits in its malloc arena and keeps the arena's
     # freed trial arrays resident
     _build_caches(spec)
-
-    def value_integral(squares):
-        # the terms of j(s) = |s|^2, already in the ascending order that
-        # _j_integral sums them in; also the sum behind the L^2 norm
-        _require_finite(squares, "integrand")
-        return float(np.sum(squares)) * hN
 
     def evaluate(draws):
         """The (passed, slack, tolerance) of each check, in _CHECKS order,
@@ -337,11 +337,8 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
             u = eval_bumps(spec, params)
             uh = polarize(u, H)
 
-            # one sort per field serves every value-class check, and u's
-            # also places u*; the sort of u* stays independent of it, since
-            # equimeasurability compares them.  polarize rejects negative
-            # fields, so the ascending values are also the ascending
-            # |values|.
+            # the sort of u also places u*; the sort of u* stays
+            # independent of it, since equimeasurability compares them
             sorted_u = np.sort(u.values, axis=None)
             us = _place_radially(spec, sorted_u)
             sorted_uh, sorted_us = (np.sort(f.values, axis=None)
@@ -349,26 +346,10 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
             same = (np.array_equal(sorted_u, sorted_uh)
                     and np.array_equal(sorted_u, sorted_us))
 
-            # the squares of each sorted array, made and summed once:
-            # j(s) = |s|^2 is nondecreasing in |s|, so they are the
-            # ascending terms that the L^2 norm, the value integral and the
-            # value tails all sum, and the norm's sum is the integral
-            norms, integrals, tails = [], [], []
-            for a in (sorted_u, sorted_uh, sorted_us):
-                sq = np.square(a)
-                integrals.append(value_integral(sq))
-                norms.append(_lp_norm_sorted(a, 2.0, hN, integrals[-1]))
-                tails.append(_value_tails(a, sq, (0.1,), (0.5,), hN))
-            small, large = zip(*tails)
-
             # one |Du| per field: I(u) serves both gradient checks
             i_u, i_uh, i_us = (_j_integral(f, j_grad) for f in (u, uh, us))
             outcomes.append((
                 _exact(same),
-                _exact(norms[0] == norms[1] == norms[2]),
-                _outcome(_invariance_report(0.0, integrals[0],
-                                            integrals[1])),
-                _exact(np.ptp(small) == 0.0 and np.ptp(large) == 0.0),
                 _outcome(_invariance_report(grad_tol(spec.h, i_u), i_u,
                                             i_uh)),
                 _outcome(_polya_szego_report(spec, i_u, i_us))))
@@ -392,7 +373,7 @@ def run_property_suite(seed: int, trials: int, spec: GridSpec) -> SuiteSummary:
                 line.passes += int(passed)
                 if slack < line.worst_slack:
                     line.worst_slack, line.tolerance = slack, tol
-            # three sorts for the value checks and one per _j_integral,
+            # three sorts for equimeasurability and one per _j_integral,
             # each of which builds one |Du|
             sorts += 6
             magnitudes += 3

@@ -282,9 +282,6 @@ GOLDEN = {
             "suite.csv": (
                 "check,trials,passes,worst_slack,tolerance\n"
                 "equimeasurability,3,3,0,0\n"
-                "lp_norm_exact,3,3,0,0\n"
-                "value_invariance_exact,3,3,0,0\n"
-                "value_tails_exact,3,3,0,0\n"
                 "gradient_invariance_tol,3,3,0,4.8333631257334435\n"
                 "polya_szego_tol,3,3,0.0018899233402160931,3.099025813747585\n"
             ),

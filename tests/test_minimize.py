@@ -376,6 +376,14 @@ class TestDescentAndMinimize:
                            constraints=ConstraintVector((1.0,)),
                            spec=spec, initial=U, eta=0.0)
 
+    def test_config_spec_is_the_initial_grid(self):
+        # the same points on a box of another size
+        U = random_multifield(make_grid(3, 9, 4.0), 1, 0)
+        with pytest.raises(ValueError, match="grid of the initial field"):
+            MinimizeConfig(model=confined_toy_model(),
+                           constraints=ConstraintVector((1.0,)),
+                           spec=make_grid(3, 9, 8.0), initial=U)
+
 
 def confined_toy_config():
     """The confined toy model in 1D from a seeded bump field, with a

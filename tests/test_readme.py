@@ -1,13 +1,14 @@
 """The README's command-line contracts, checked against the code: the
-config keys, the commands, the input bounds, the files each command writes
-and the ground-state config of the end-to-end acceptance test."""
+config keys, the commands, the input bounds, the files each command writes,
+the checks of the verify suite and the ground-state config of the
+end-to-end acceptance test."""
 
 import pathlib
 import re
 
 import pytest
 
-from polarmin import cli
+from polarmin import cli, verify
 from polarmin.grid import MAX_HALF_WIDTH, MAX_POINTS, MIN_HALF_WIDTH
 from polarmin.minimize import MAX_TARGET, MIN_TARGET
 
@@ -67,6 +68,12 @@ TINY = {
 
 def test_table_covers_every_command():
     assert sorted(output_table()) == sorted(cli.COMMANDS) == sorted(TINY)
+
+
+def test_verify_rows_name_the_checks():
+    _, checks = output_table()["verify"]["suite.csv"].split(
+        "one row per check:")
+    assert tuple(re.findall(r"`(\w+)`", checks)) == verify._CHECKS
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
