@@ -31,9 +31,8 @@ class IntegrandJ:
     """Gradient integrand j(s, b) with partial derivatives.
 
     a1 is the coercivity constant in j(s, b) >= a1 * b^p; strictly_convex
-    declares strict convexity of j(s, .).  depends_on_gradient=False marks
-    integrands that ignore b, for which polarization invariance is exact;
-    the checks in ``verify`` never build |Du| for them and pass zeros as b.
+    declares strict convexity of j(s, .).  Every caller builds |Du| and
+    passes it as b, also to an integrand that ignores it.
     """
 
     j: callable
@@ -41,7 +40,6 @@ class IntegrandJ:
     dj_db: callable
     a1: float = 1.0
     strictly_convex: bool = False
-    depends_on_gradient: bool = True
 
 
 @dataclasses.dataclass
@@ -184,9 +182,13 @@ def _fast_len(target: int) -> int:
 # Smallest rfftn spectrum, in points, from which the convolution runs its
 # middle passes in slabs of columns (_SLAB_POINTS) and each of its three
 # stages in two halves, one on the worker thread (3D n >= 27, 2D n >= 183).
-# Below it the calls of many small slabs cost more than the cache misses
-# they save: on a 2-core Xeon VM, one core, one-column slabs took 1.31 ms
-# at 17^3 against 0.85 ms for one slab, and 3.67 against 3.51 ms at 25^3.
+# Below it the calls of more slabs cost more than the cache misses they
+# save: on a 2-core Xeon VM, one core, one slab of every column ran 17^3 in
+# a median 0.53-0.55 ms per process, and the slab rule's own width (16
+# columns, then 1) in 0.57-0.91 ms, over 4 processes each, alternated.
+# Each width ran in a process of its own, so neither width's buffers sat in
+# the other's heap; alternated call by call in one process, the slab rule
+# took 1.11-1.12 times as long.
 _SPLIT_MIN = 2**16
 
 # Points of one slab buffer above _SPLIT_MIN.  A slab holds as many columns
@@ -206,13 +208,6 @@ def _slab_width(size: int, dim: int, columns: int, split: bool) -> int:
         return columns
     width = min(columns, _SLAB_POINTS // size ** (dim - 1))
     return width if width > 4 else 1
-
-
-def _slab_buffers(size: int, dim: int, width: int) -> list:
-    """Two new flat complex buffers for slabs of width columns on a grid of
-    circulant length size."""
-    points = size ** (dim - 1) * width
-    return [np.empty(points, dtype=complex) for _ in range(2)]
 
 
 def _slabs(columns: slice, width: int) -> list:
@@ -255,7 +250,9 @@ def _convolve_slabs(spectrum: np.ndarray, kernel_hat: np.ndarray, n: int,
     spectrum.
     """
     size, lead = kernel_hat.shape[0], kernel_hat.ndim - 1
-    buffers = _slab_buffers(size, lead + 1, width) if lead else None
+    # two flat buffers, each the size of one slab's full forward transform
+    buffers = ([np.empty(size**lead * width, dtype=complex) for _ in range(2)]
+               if lead else None)
     for cols in _slabs(columns, width):
         x = _forward(spectrum[cols], size, buffers)
         np.multiply(x, kernel_hat[cols], out=x)
@@ -281,24 +278,17 @@ def kernel_transform(V: callable, spec: GridSpec) -> np.ndarray:
     zero-padded g equals the free-space sum on the first n points per axis
     (Hockney & Eastwood, Computer Simulation Using Particles, 1988).
 
-    The real transform along the last axis writes straight into the
-    returned array, the sample is dropped, and the complex passes run one
-    slab of half-spectrum columns at a time, as in kernel_convolve, in two
-    slab buffers made for the call; so the array has the bits of
-    scipy.fft.rfftn, and the call holds the sample and the result but no
-    third full-size array.  The array is read-only, since the cache shares
-    it.
+    The real transform along the last axis makes the returned array, and
+    the complex transforms along axes 0, 1, ..., N - 2 then run in place in
+    it, in scipy.fft.rfftn's axis order, so the array has rfftn's bits.
+    numpy transforms each line through its own buffer, so an in-place pass
+    needs no full-size array: the peak, about 2.2-2.6 result sizes at 3D
+    n=33 and 65 and 2D n=257, is while the sample and the real transform are
+    both alive.  The array is read-only, since the cache shares it.
     """
-    kernel = sample_kernel(V, spec)
-    size, dim = kernel.shape[-1], kernel.ndim
-    kernel_hat = np.fft.rfft(kernel, axis=-1)
-    del kernel
-    if dim > 1:
-        half = kernel_hat.shape[-1]
-        width = _slab_width(size, dim, half, kernel_hat.size >= _SPLIT_MIN)
-        buffers = _slab_buffers(size, dim, width)
-        for cols in _slabs(slice(0, half), width):
-            kernel_hat[cols] = _forward(kernel_hat[cols], size, buffers)
+    kernel_hat = np.fft.rfft(sample_kernel(V, spec), axis=-1)
+    for k in range(kernel_hat.ndim - 1):
+        np.fft.fft(kernel_hat, axis=k, out=kernel_hat)
     kernel_hat.flags.writeable = False
     return kernel_hat
 

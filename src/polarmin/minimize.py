@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import (EnergyBreakdown, EnergyModel, discrete_gradient,
                      eval_total)
-from .grid import (GridSpec, MultiField, ScalarField, axis_sum,
+from .grid import (_TINY, GridSpec, MultiField, ScalarField, axis_sum,
                    gradient_magnitude, lp_norm)
 from .rearrange import schwarz, schwarz_multi, symmetry_deficit
 
@@ -55,29 +55,43 @@ class ConstraintVector:
 
 
 def project_constraints(U: MultiField, c: ConstraintVector, p: float) -> MultiField:
-    """Scale each component onto its L^p sphere int |u_i|^p = c_i."""
+    """Scale each component onto its L^p sphere int |u_i|^p = c_i.
+
+    Where mass = lp_norm^p or c_i / mass leaves the normal float range
+    (|u| above about 1e154 or below 1e-154 at p = 2), the component is
+    divided by its norm and then scaled by c_i^(1/p)."""
     if U.m != len(c.c):
         raise ValueError(f"field has {U.m} components, constraint vector "
                          f"has length {len(c.c)}")
     comps = []
     for comp, target in zip(U.components, c.c):
-        mass = lp_norm(comp, p) ** p
-        if mass == 0.0:
+        norm = float(lp_norm(comp, p))
+        if norm == 0.0:
             raise ValueError("cannot project zero component onto sphere")
-        comps.append(ScalarField(comp.spec,
-                                 comp.values * (target / mass) ** (1.0 / p)))
+        try:
+            mass = norm**p
+        except OverflowError:
+            mass = math.inf
+        if _TINY <= mass < math.inf and _TINY <= target / mass < math.inf:
+            values = comp.values * (target / mass) ** (1.0 / p)
+        else:
+            values = comp.values / norm * target ** (1.0 / p)
+        comps.append(ScalarField(comp.spec, values))
     return MultiField(comps)
 
 
+# Halvings of the step length descent_step tries before it gives up.
+_MAX_HALVINGS = 30
+
+
 def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
-                 eta: float, energy: EnergyBreakdown, direction: MultiField,
-                 max_halvings: int = 30):
+                 eta: float, energy: EnergyBreakdown, direction: MultiField):
     """One projected, clamped step along -direction with energy backtracking.
 
     energy is U's EnergyBreakdown.  The candidate is
     max(U - eta*direction, 0) projected back onto the constraint spheres;
-    eta is halved until the energy strictly decreases or the halving budget
-    is exhausted.
+    eta is halved until the energy strictly decreases or _MAX_HALVINGS
+    halvings are spent.
 
     Returns (U_new, energy_new, eta_used, accepted, evaluations): the
     accepted candidate and its EnergyBreakdown (U and energy when no
@@ -85,7 +99,7 @@ def descent_step(U: MultiField, model: EnergyModel, c: ConstraintVector,
     candidates evaluated.
     """
     evaluations = 0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         try:  # ValueError: a non-finite or an all-zero component
             comps = [ScalarField(U.spec,
                                  np.maximum(u.values - eta * d.values, 0.0))

@@ -54,15 +54,10 @@ def grad_tol(h: float, reference: float) -> float:
 def _j_integral(u: ScalarField, j: IntegrandJ) -> float:
     """Integral of j(u, |Du|) h^N.
 
-    |Du| is built here, one ``gradient_magnitude`` per call, and only when
-    j reads it; an integrand with ``depends_on_gradient=False`` gets zeros.
+    |Du| is built here, one ``gradient_magnitude`` per call.
     ``run_property_suite`` calls this once per field and integrand.
     """
-    if j.depends_on_gradient:
-        b = gradient_magnitude(u).values
-    else:
-        b = np.zeros(u.spec.shape)
-    vals = np.asarray(j.j(u.values, b))
+    vals = np.asarray(j.j(u.values, gradient_magnitude(u).values))
     _require_finite(vals, "integrand")
     # ascending summation: permutation-invariant, so value-only integrals
     # are bit-exactly invariant under rearrangement

@@ -543,6 +543,24 @@ class TestFieldInput:
         assert summary["status"] == "max_iter_reached"
         assert float(summary["final_rel_dist"]) > 0.5
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_minimize_field_outside_float_range(self, tmp_path, scale):
+        # the mass of such a field overflows or underflows, which projected
+        # it to zeros or rejected it as zero
+        spec = make_grid(2, 9, 4.0)
+        path = tmp_path / "in.rfld"
+        write_field(MultiField([ScalarField(spec, np.full(spec.shape,
+                                                          scale))]), path)
+        cfg = write_config(tmp_path,
+                           "command = minimize\ndim = 2\nn = 9\n"
+                           f"half_width = 4.0\nmax_steps = 3\nfield = {path}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["minimize", "--config", cfg,
+                         "--out", str(out)]) == 0
+        assert "max_steps_reached" in (out / "diagnostics.txt").read_text()
+
     def test_grid_mismatch_rejected(self, tmp_path):
         spec = make_grid(1, 5, 4.0)
         path = tmp_path / "in.rfld"
@@ -655,6 +673,22 @@ class TestErrorsExitTwo:
                   (out / "diagnostics.txt").read_text().splitlines()]
         assert all(math.isfinite(float(v)) for v in values
                    if v not in ("converged", "stalled", "max_steps_reached"))
+
+    def test_huge_step_never_accepts_zeros(self, tmp_path):
+        # the candidates of eta = 1e200 overflow lp_norm^2; projected to
+        # zeros they had the lowest plaplace energy and were accepted
+        cfg = write_config(tmp_path,
+                           "command = minimize\ndim = 2\nn = 9\n"
+                           "half_width = 4.0\nmodel = plaplace\n"
+                           "eta = 1e200\nmax_steps = 3\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        diagnostics = dict(line.split(" = ") for line in
+                           (out / "diagnostics.txt").read_text().splitlines())
+        assert float(diagnostics["total"]) > 0.0
+        assert math.isfinite(float(diagnostics["residual_1"]))
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_tiny_half_width(self, tmp_path, capsys, command):

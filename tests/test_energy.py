@@ -474,6 +474,23 @@ def test_convolution_memory_bounded(monkeypatch, dim, n):
     assert len(threads) == 2
 
 
+@pytest.mark.parametrize("dim,n", [(3, 33), (3, 65), (2, 257)])
+def test_transform_build_memory_bounded(dim, n):
+    # the sample and the real transform are alive together, and the complex
+    # passes run in place: 2.30, 2.24 and 2.57 result sizes, where a third
+    # full-size array would add one more
+    V, spec = models.choquard(m=1, dim=dim).V, make_grid(dim, n, 2.0)
+    kernel_transform.cache_clear()
+    tracemalloc.start()
+    try:
+        kernel_hat = kernel_transform(V, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        kernel_transform.cache_clear()
+    assert peak <= 2.6 * kernel_hat.nbytes
+
+
 class TestNonlocal:
     def test_fft_matches_direct_small(self):
         spec = make_grid(3, 7, 2.0)

@@ -65,6 +65,18 @@ class TestProjection:
         for comp, target in zip(P.components, c.c):
             assert lp_norm(comp, 2.0) ** 2 == pytest.approx(target, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_mass_outside_float_range(self, scale):
+        # lp_norm^2 overflows or underflows on such fields: the projection
+        # must not scale them by 0 or call them zero
+        spec = make_grid(2, 9, 4.0)
+        U = MultiField([ScalarField(spec, np.full(spec.shape, scale))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project_constraints(U, ConstraintVector((2.0,)), 2.0)
+        assert lp_norm(P.components[0], 2.0) ** 2 == pytest.approx(
+            2.0, abs=1e-12)
+
     def test_zero_component_rejected(self):
         spec = make_grid(1, 5, 2.0)
         U = MultiField([ScalarField(spec, np.zeros(5))])
@@ -142,8 +154,7 @@ class TestDiscreteGradient:
 class TestLagrangeResidual:
     def test_collinear_gradient_zero_residual(self):
         j_val = IntegrandJ(j=lambda s, b: s**2, dj_ds=lambda s, b: 2.0 * s,
-                           dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)),
-                           depends_on_gradient=False)
+                           dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)))
         model = EnergyModel(p=2.0, js=[j_val])
         spec = make_grid(1, 9, 2.0)
         U = random_multifield(spec, 1, 12)
@@ -302,18 +313,19 @@ class TestDescentAndMinimize:
         assert lp_norm(U1.components[0], 2.0) ** 2 == pytest.approx(
             1.0, abs=1e-12)
 
-    def test_descent_step_overflowing_step_halves(self):
+    def test_descent_step_overflowing_step_halves(self, monkeypatch):
         spec = make_grid(1, 33, 4.0)
         model = confined_toy_model()
         c = ConstraintVector((1.0,))
         U = project_constraints(random_multifield(spec, 1, 17), c, 2.0)
         bk0 = eval_total(U, model)
         grad = discrete_gradient(U, model, bk0)
-        # eta * grad overflows: those trials count as halvings, not errors
+        # eta * grad overflows: those trials count as halvings, not errors;
+        # halving down from 1e308 takes about 1030 trials
+        monkeypatch.setattr(mn, "_MAX_HALVINGS", 1100)
         with np.errstate(over="ignore", invalid="ignore"):
             U1, bk1, _, accepted, evaluations = descent_step(
-                U, model, c, eta=1e308, energy=bk0, direction=grad,
-                max_halvings=1100)
+                U, model, c, eta=1e308, energy=bk0, direction=grad)
         assert accepted and bk1.total < bk0.total
         assert 0 < evaluations < 1100
 

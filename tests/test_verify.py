@@ -31,8 +31,7 @@ J_GRAD = IntegrandJ(j=lambda s, b: b**2,
                     dj_db=lambda s, b: 2.0 * b)
 J_VALUE = IntegrandJ(j=lambda s, b: s**2,
                      dj_ds=lambda s, b: 2.0 * s,
-                     dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)),
-                     depends_on_gradient=False)
+                     dj_db=lambda s, b: np.zeros_like(np.asarray(b, float)))
 
 nonneg_2d = arrays(np.float64, (9, 9), elements=st.floats(0.0, 5.0))
 
@@ -188,13 +187,6 @@ class TestSuiteOracle:
         suite = run_property_suite(0, trials, make_grid(2, 17, 4.0))
         # u, u^H and u*
         assert len(calls) == suite.magnitudes == 3 * trials
-
-    def test_value_integrand_builds_no_gradient(self, monkeypatch):
-        calls = self.count_gradients(monkeypatch)
-        u = random_bump_field(SPEC_2D, np.random.default_rng(0))
-        uh = polarize(u, HalfSpace((1, 0), 0.0))
-        assert _j_integral(uh, J_VALUE) == _j_integral(u, J_VALUE)
-        assert calls == []
 
     @pytest.mark.parametrize("dim,n", [(1, 33), (2, 65), (3, 17), (3, 33)])
     def test_eval_bumps_bits_of_coords_formula(self, dim, n):
